@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	scale := flag.Int("scale", 2, "input scale for the workload suite")
+	scale := flag.Int("scale", report.DocScale, "input scale for the workload suite")
 	withHW := flag.Bool("hw", true, "run the hardware-correlation oracle (Table 7)")
 	expName := flag.String("exp", "", "render only one experiment (fig1, fig3, fig5..fig12, table6, table7, ablation)")
 	out := flag.String("o", "", "write the report to this file instead of stdout")

@@ -118,8 +118,8 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	debugPprof := fs.Bool("pprof", false, "with -serve: expose net/http/pprof handlers on the coordinator's status mux")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = auto: cores/-j, capped at NumCUs; 1 = serial; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = auto: cores/-j, capped at the drain width; 1 = serial; results identical)")
+	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = serial (default); >1 opts into the worker pool, capped at NumCUs; results identical)")
+	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = serial (default); >1 opts into the worker pool, capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func run(args []string, out, errw io.Writer) error {
 		eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
 		eng.CUParallelism = *cuPar
 		eng.MemParallelism = *memPar
-		if msg := core.OversubscriptionWarning(slots, *cuPar, *memPar); msg != "" {
+		if msg := core.OversubscriptionWarning(slots, 0, *cuPar, *memPar); msg != "" {
 			fmt.Fprintln(errw, "ilsim-sweep:", msg)
 		}
 		w := &dist.Worker{Coordinator: *connect, Slots: slots, Engine: eng,
@@ -290,7 +290,7 @@ func run(args []string, out, errw io.Writer) error {
 		eng.OnProgress = onProgress
 		eng.CUParallelism = *cuPar
 		eng.MemParallelism = *memPar
-		if msg := core.OversubscriptionWarning(*workers, *cuPar, *memPar); msg != "" {
+		if msg := core.OversubscriptionWarning(*workers, len(jobs), *cuPar, *memPar); msg != "" {
 			fmt.Fprintln(errw, "ilsim-sweep:", msg)
 		}
 		runner = eng
@@ -318,8 +318,8 @@ func run(args []string, out, errw io.Writer) error {
 			float64(h.Run.Cycles)/float64(g.Run.Cycles),
 			h.Run.VRFBankConflicts, g.Run.VRFBankConflicts, h.Run.IBFlushes)
 	}
-	fmt.Fprintf(out, "\n%d jobs in %.2fs (%.1f jobs/s, speedup %.2fx over serial",
-		metrics.Jobs, metrics.Elapsed.Seconds(), metrics.Throughput(), metrics.Speedup())
+	fmt.Fprintf(out, "\n%d jobs in %.2fs (%.1f jobs/s, concurrency %.2f",
+		metrics.Jobs, metrics.Elapsed.Seconds(), metrics.Throughput(), metrics.Concurrency())
 	if metrics.Resumed > 0 {
 		fmt.Fprintf(out, "; %d resumed from journal", metrics.Resumed)
 	}

@@ -61,8 +61,8 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	noSkip := fs.Bool("noskip", false, "disable cycle skipping (tick every cycle; identical results, for verification)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = auto: cores/-j, capped at NumCUs; 1 = serial; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = auto: cores/-j, capped at the drain width; 1 = serial; results identical)")
+	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = serial (default); >1 opts into the worker pool, capped at NumCUs; results identical)")
+	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = serial (default); >1 opts into the worker pool, capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,7 +108,6 @@ func run(args []string, out, errw io.Writer) error {
 	opts := core.RunOptions{TrackValues: *values, ValueSampleEvery: 4, TrackReuse: *reuse,
 		MaxCycles: *maxCycles, DisableCycleSkipping: *noSkip,
 		CUParallelism: *cuPar, MemParallelism: *memPar}
-	warnOversubscription(errw, *workers, *cuPar, *memPar)
 
 	var targets []core.Abstraction
 	switch *abs {
@@ -129,6 +128,7 @@ func run(args []string, out, errw io.Writer) error {
 				Opts: opts, Timeout: *timeout})
 		}
 	}
+	warnOversubscription(errw, *workers, len(jobs), *cuPar, *memPar)
 	eng := exp.New(*workers)
 	eng.CUParallelism = *cuPar
 	eng.MemParallelism = *memPar
@@ -308,11 +308,11 @@ func jsonReport(runs []*stats.Run, scale int) map[string]any {
 }
 
 // warnOversubscription tells the user when an explicit -cu-par or -mem-par
-// setting multiplied by the job-level pool exceeds the host's cores. The
-// settings are still honored (results are identical, only wall-clock
-// suffers).
-func warnOversubscription(errw io.Writer, workers, cuPar, memPar int) {
-	if msg := core.OversubscriptionWarning(workers, cuPar, memPar); msg != "" {
+// setting multiplied by the simulations running at once (at most
+// min(workers, jobs)) exceeds the host's cores. The settings are still
+// honored (results are identical, only wall-clock suffers).
+func warnOversubscription(errw io.Writer, workers, jobs, cuPar, memPar int) {
+	if msg := core.OversubscriptionWarning(workers, jobs, cuPar, memPar); msg != "" {
 		fmt.Fprintln(errw, "ilsim:", msg)
 	}
 }

@@ -26,18 +26,18 @@ type RunOptions struct {
 
 	// CUParallelism shards each cycle's compute-unit ticks across this
 	// many goroutines (the paper-visible statistics are byte-identical at
-	// every setting). 0 resolves via ResolveCUParallelism — min(NumCUs,
-	// GOMAXPROCS) for a lone simulation; 1 forces the serial loop.
+	// every setting). 0 = serial (default), as does 1; values above 1 opt
+	// into the worker pool, capped at NumCUs by ResolveCUParallelism.
 	CUParallelism int
 
 	// MemParallelism shards the phase-2 memory drain's bank waves — L1
 	// banks, then L2 banks, then DRAM channels — across this many pool
 	// goroutines (statistics stay byte-identical at every setting; the
-	// determinism suite pins it). 0 resolves via ResolveMemParallelism
-	// against Config.DrainWidth(); 1 forces the serial drain. The pool is
-	// shared with CU ticking and the phases never overlap, so a
-	// simulation's peak concurrency is max(CUParallelism, MemParallelism),
-	// not their sum.
+	// determinism suite pins it). 0 = serial (default), as does 1; values
+	// above 1 opt in, capped at Config.DrainWidth() by
+	// ResolveMemParallelism. The pool is shared with CU ticking and the
+	// phases never overlap, so a simulation's peak concurrency is
+	// max(CUParallelism, MemParallelism), not their sum.
 	MemParallelism int
 
 	// MaxCycles bounds the run's total simulated cycles (0 = unlimited);
@@ -60,70 +60,48 @@ type RunOptions struct {
 }
 
 // ResolveCUParallelism turns a requested per-simulation CU-parallelism
-// setting into an effective worker count. An explicit request (>0) is
-// honored up to the CU count — even if it oversubscribes the host; CLIs
-// warn about that but defer to the user. Auto (<=0) divides the host's
-// GOMAXPROCS across activeJobs concurrent simulations (a sweep's -j) so the
-// two levels of parallelism multiply to roughly the core budget instead of
-// fighting each other.
+// setting into an effective worker count. Auto (<=0) resolves to 1, the
+// serial loop: a simulated cycle holds only a few microseconds of host work,
+// less than a per-cycle barrier across the pool costs, so on the hosts
+// measured so far the pool made simulations slower. An explicit request
+// (>0) is honored up to the CU count — even if it oversubscribes the host;
+// CLIs warn about that but defer to the user. activeJobs, the number of
+// concurrent simulations, does not affect the result.
 func ResolveCUParallelism(requested, numCUs, activeJobs int) int {
-	if numCUs < 1 {
-		numCUs = 1
-	}
-	if requested > 0 {
-		if requested > numCUs {
-			return numCUs
-		}
-		return requested
-	}
-	if activeJobs < 1 {
-		activeJobs = 1
-	}
-	per := runtime.GOMAXPROCS(0) / activeJobs
-	if per > numCUs {
-		per = numCUs
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return resolveParallelism(requested, numCUs)
 }
 
 // ResolveMemParallelism turns a requested drain-parallelism setting into an
-// effective worker count, mirroring ResolveCUParallelism: an explicit request
-// (>0) is honored up to width (the configuration's DrainWidth — the widest
-// bank wave, beyond which extra workers can never find a task); auto (<=0)
-// divides GOMAXPROCS across activeJobs concurrent simulations.
+// effective worker count, mirroring ResolveCUParallelism: auto (<=0)
+// resolves to 1, the serial drain; an explicit request (>0) is honored up to
+// width (the configuration's DrainWidth — the widest bank wave, beyond which
+// extra workers can never find a task). activeJobs does not change the
+// result.
 func ResolveMemParallelism(requested, width, activeJobs int) int {
-	if width < 1 {
-		width = 1
+	return resolveParallelism(requested, width)
+}
+
+// resolveParallelism caps an explicit request at limit; auto is serial.
+func resolveParallelism(requested, limit int) int {
+	if requested <= 1 || limit <= 1 {
+		return 1
 	}
-	if requested > 0 {
-		if requested > width {
-			return width
-		}
-		return requested
+	if requested > limit {
+		return limit
 	}
-	if activeJobs < 1 {
-		activeJobs = 1
-	}
-	per := runtime.GOMAXPROCS(0) / activeJobs
-	if per > width {
-		per = width
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return requested
 }
 
 // OversubscriptionWarning returns a human-readable warning when an explicit
-// intra-simulation parallelism request multiplied by the job-level worker
-// pool exceeds the host's cores, or "" when the combination is fine (or
-// auto-resolved). A simulation's peak concurrency is max(cuPar, memPar) —
-// the phase-1 tick and phase-2 drain share one pool and never overlap.
-// jobWorkers <= 0 means GOMAXPROCS, matching the sweep engines' -j default.
-func OversubscriptionWarning(jobWorkers, cuPar, memPar int) string {
+// intra-simulation parallelism request multiplied by the number of
+// simulations running at once exceeds the host's cores, or "" when the
+// combination is fine (or serial). A simulation's peak concurrency is
+// max(cuPar, memPar) — the phase-1 tick and phase-2 drain share one pool and
+// never overlap. At most min(jobWorkers, jobs) simulations run at once:
+// jobWorkers <= 0 means GOMAXPROCS, matching the engines' -j default, and
+// jobs <= 0 means the job count is unknown (a distributed worker leases
+// jobs as they come), so only jobWorkers bounds it.
+func OversubscriptionWarning(jobWorkers, jobs, cuPar, memPar int) string {
 	intra := cuPar
 	if memPar > intra {
 		intra = memPar
@@ -131,13 +109,17 @@ func OversubscriptionWarning(jobWorkers, cuPar, memPar int) string {
 	if intra <= 1 {
 		return ""
 	}
-	if jobWorkers <= 0 {
-		jobWorkers = runtime.GOMAXPROCS(0)
-	}
 	cores := runtime.GOMAXPROCS(0)
-	if total := jobWorkers * intra; total > cores {
-		return fmt.Sprintf("-j %d x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer (use -cu-par 0 / -mem-par 0 to auto-budget)",
-			jobWorkers, cuPar, memPar, total, cores)
+	if jobWorkers <= 0 {
+		jobWorkers = cores
+	}
+	concurrent := jobWorkers
+	if jobs > 0 && jobs < concurrent {
+		concurrent = jobs
+	}
+	if total := concurrent * intra; total > cores {
+		return fmt.Sprintf("%d concurrent jobs x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer (use -cu-par 0 / -mem-par 0 for the serial loop)",
+			concurrent, cuPar, memPar, total, cores)
 	}
 	return ""
 }

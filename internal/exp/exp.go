@@ -151,7 +151,7 @@ type Metrics struct {
 	Retries int
 	// Elapsed is the wall time of the whole Run call; JobWall is the sum
 	// of per-job wall times for jobs executed this run (resumed results
-	// are excluded so Speedup reflects work actually done).
+	// are excluded so Concurrency reflects work actually done).
 	Elapsed time.Duration
 	JobWall time.Duration
 }
@@ -165,9 +165,11 @@ func (m Metrics) Throughput() float64 {
 	return float64(m.Jobs-m.Failed-m.Resumed) / m.Elapsed.Seconds()
 }
 
-// Speedup returns the parallel speedup over serial execution of the same
-// job set (sum of job wall times over engine wall time).
-func (m Metrics) Speedup() float64 {
+// Concurrency returns the average number of jobs in flight: the sum of job
+// wall times over engine wall time. It is not a speedup — jobs running side
+// by side on a busy host each take longer than they would alone — so
+// compare against a measured serial run for that.
+func (m Metrics) Concurrency() float64 {
 	if m.Elapsed <= 0 {
 		return 0
 	}
@@ -227,9 +229,8 @@ type Engine struct {
 	// CUParallelism overrides every job's core.RunOptions.CUParallelism —
 	// it is a property of the executing host, not of the job (and is
 	// excluded from job fingerprints for the same reason). 0 keeps the
-	// jobs' own settings, which normally auto-resolve against this
-	// engine's worker count so the two parallelism levels share the
-	// machine instead of oversubscribing it.
+	// jobs' own settings, which default to the serial loop: concurrent
+	// jobs, not intra-simulation workers, are what use a multi-core host.
 	CUParallelism int
 
 	// MemParallelism is the same host-level override for the phase-2
@@ -457,16 +458,9 @@ func (e *Engine) runJob(ctx context.Context, job Job, attempt int) (run *stats.R
 	if e.CUParallelism != 0 {
 		// Host-level override (results are identical at every setting).
 		opts.CUParallelism = e.CUParallelism
-	} else if opts.CUParallelism <= 0 {
-		// Auto: budget the host's cores across this engine's concurrent
-		// jobs, so -j and intra-simulation parallelism multiply to
-		// roughly GOMAXPROCS instead of compounding.
-		opts.CUParallelism = core.ResolveCUParallelism(0, job.Config.NumCUs, e.workers())
 	}
 	if e.MemParallelism != 0 {
 		opts.MemParallelism = e.MemParallelism
-	} else if opts.MemParallelism <= 0 {
-		opts.MemParallelism = core.ResolveMemParallelism(0, job.Config.DrainWidth(), e.workers())
 	}
 	run, m, err := sim.RunContext(ctx, job.Abs, job.Workload, inst.Setup, opts)
 	if err != nil {

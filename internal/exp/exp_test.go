@@ -230,8 +230,8 @@ func TestMetricsMath(t *testing.T) {
 	if got := m.Throughput(); got != 3 {
 		t.Errorf("Throughput = %v, want 3", got)
 	}
-	if got := m.Speedup(); got != 3 {
-		t.Errorf("Speedup = %v, want 3", got)
+	if got := m.Concurrency(); got != 3 {
+		t.Errorf("Concurrency = %v, want 3", got)
 	}
 }
 

@@ -248,7 +248,8 @@ func (f *finalizer) lowerAll() error {
 	prefixItems := make(map[int][]prefixItem)
 	suffixes := make(map[int][]gcn3.Inst)
 	f.dropBr = make(map[int]bool)
-	for bi, sh := range f.cfg.Shapes {
+	for _, bi := range f.cfg.ShapeBlocks() {
+		sh := f.cfg.Shapes[bi]
 		term := lastInst(f.k.Blocks[bi])
 		if f.cregs[term.Srcs[0].Reg].fused {
 			continue // uniform branch: no exec manipulation

@@ -236,9 +236,9 @@ func (f *finalizer) allocate() error {
 		nextS += 2
 	}
 	// Structured-control-flow save registers.
-	for bi, sh := range f.cfg.Shapes {
+	for _, bi := range f.cfg.ShapeBlocks() {
 		alignS()
-		switch sh.Kind {
+		switch f.cfg.Shapes[bi].Kind {
 		case kernel.ShapeLoopLatch:
 			f.loopSave[bi] = nextS
 		default:

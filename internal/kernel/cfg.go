@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sort"
 
 	"ilsim/internal/hsail"
 )
@@ -34,6 +35,18 @@ type CFG struct {
 	Reducible bool
 	// Shapes classifies every block that ends in a conditional branch.
 	Shapes map[int]Shape
+}
+
+// ShapeBlocks returns the keys of Shapes in ascending block order. Code
+// that allocates registers or emits instructions per shape must walk this,
+// not the map, or its output changes from run to run.
+func (g *CFG) ShapeBlocks() []int {
+	bs := make([]int, 0, len(g.Shapes))
+	for b := range g.Shapes {
+		bs = append(bs, b)
+	}
+	sort.Ints(bs)
+	return bs
 }
 
 // ShapeKind is the structured-control-flow classification of a conditional

@@ -70,6 +70,9 @@ type cacheBank struct {
 	nextFree int64
 	// lines[local] holds global set local*numBanks + bank.
 	lines [][]cacheLine
+	// idx[local] indexes lines[local] when the cache has more than
+	// indexMinWays ways (nil otherwise).
+	idx []wayIndex
 }
 
 // access is the bank-local outcome of one request. Either the completion
@@ -145,6 +148,12 @@ func NewCache(name string, sizeBytes, lineSize, ways int, hitLatency int64, writ
 		for i := range c.banks[b].lines {
 			c.banks[b].lines[i] = make([]cacheLine, ways)
 		}
+		if ways > indexMinWays {
+			c.banks[b].idx = make([]wayIndex, nLocal)
+			for i := range c.banks[b].idx {
+				c.banks[b].idx[i] = newWayIndex(ways)
+			}
+		}
 	}
 	return c
 }
@@ -157,6 +166,9 @@ func (c *Cache) Reset() {
 			for j := range bank.lines[i] {
 				bank.lines[i][j] = cacheLine{}
 			}
+		}
+		for i := range bank.idx {
+			bank.idx[i].reset()
 		}
 		bank.stats = CacheStats{}
 		bank.nextFree = 0
@@ -204,23 +216,29 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 	b.nextFree = start + c.throughput
 
 	setIdx, tag := c.setAndTag(addr)
-	set := b.lines[setIdx/c.numBanks]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			b.stats.Hits++
-			set[i].lastUsed = start
-			done := start + c.hitLatency
-			b.stats.LatencySum += uint64(done - now)
-			if write && !c.writeBack && c.lower != nil {
-				// Write-through: forward the write but do not stall the
-				// core on the lower level (posted write).
-				return access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
-			}
-			if write && c.writeBack {
-				set[i].dirty = true
-			}
-			return access{done: done}
+	local := setIdx / c.numBanks
+	set := b.lines[local]
+	var ix *wayIndex
+	if b.idx != nil {
+		ix = &b.idx[local]
+	}
+	if i := findWay(ix, set, tag); i >= 0 {
+		b.stats.Hits++
+		if ix != nil {
+			ix.touch(i)
 		}
+		set[i].lastUsed = start
+		done := start + c.hitLatency
+		b.stats.LatencySum += uint64(done - now)
+		if write && !c.writeBack && c.lower != nil {
+			// Write-through: forward the write but do not stall the
+			// core on the lower level (posted write).
+			return access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
+		}
+		if write && c.writeBack {
+			set[i].dirty = true
+		}
+		return access{done: done}
 	}
 	b.stats.Misses++
 	if write && !c.writeBack {
@@ -235,17 +253,11 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 	// Miss: fetch from below and fill. The line is inserted now (victim
 	// selection included); its availability is the fill's completion.
 	out := access{fill: true, downAddr: addr, downAt: start + c.hitLatency}
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lastUsed < set[victim].lastUsed {
-			victim = i
-		}
-	}
+	victim := victimWay(ix, set)
 	if set[victim].valid {
+		if ix != nil {
+			ix.evict(set, set[victim].tag, victim)
+		}
 		b.stats.Evictions++
 		if set[victim].dirty && c.lower != nil {
 			// Write back the victim; posted, does not extend the fill.
@@ -254,6 +266,9 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 		}
 	}
 	set[victim] = cacheLine{tag: tag, valid: true, dirty: write && c.writeBack, lastUsed: start}
+	if ix != nil {
+		ix.fill(tag, victim)
+	}
 	if c.lower == nil {
 		// Nothing below: the "fill" completes at the hit latency.
 		out.fill = false
@@ -262,6 +277,39 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 		b.stats.LatencySum += uint64(out.done - now)
 	}
 	return out
+}
+
+// findWay returns the way of set holding tag, or -1: through the set's
+// index when it has one, else by scanning.
+func findWay(ix *wayIndex, set []cacheLine, tag uint64) int {
+	if ix != nil {
+		return ix.find(set, tag)
+	}
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// victimWay returns the way a miss fills: the first invalid way, else the
+// first way with the least lastUsed (the least recently touched; see
+// wayIndex).
+func victimWay(ix *wayIndex, set []cacheLine) int {
+	if ix != nil {
+		return ix.victim(len(set))
+	}
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			return i
+		}
+		if set[i].lastUsed < set[victim].lastUsed {
+			victim = i
+		}
+	}
+	return victim
 }
 
 // Access services a line request synchronously and returns its completion

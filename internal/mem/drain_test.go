@@ -177,53 +177,107 @@ func genRequests(h *hier, seed int64, n int) {
 	}
 }
 
-// TestDrainMatchesSynchronousReplay: with single-bank level-1 caches and no
-// dirty L2 victims, the level-wave pipeline must reproduce the synchronous
-// Access path exactly — same per-request ready cycles, same counters.
-func TestDrainMatchesSynchronousReplay(t *testing.T) {
-	hA := buildHier(2, 1, 2)
-	genRequests(hA, 7, 40)
-	hA.drain.Flush(100, nil)
+// genSparse appends one single-line request from one pseudo-randomly
+// chosen source: a flush that reaches one level-1 task, at most one L2 bank
+// and at most one DRAM channel.
+func genSparse(h *hier, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	s := rng.Intn(len(h.bufs))
+	h.bufs[s].AppendLine(0, uint64(rng.Intn(96))*64, rng.Intn(4) == 0, s*1000)
+}
 
-	// Reference: identical geometry, requests applied synchronously in
-	// (source, append, line) order.
-	hB := buildHier(2, 1, 2)
-	genRequests(hB, 7, 40)
-	for s, buf := range hB.bufs {
+// syncFlush is the reference for Drain.Flush: it applies every pending
+// request synchronously in (source, append, line) order at cycle now,
+// records completions as the drain's callbacks do, and resets the buffers.
+// With single-bank level-1 caches, one L2 bank and no dirty L2 victims
+// (addresses stay within the L2 capacity) the drain must match it exactly.
+func syncFlush(h *hier, now int64) {
+	for s, buf := range h.bufs {
 		for i := range buf.reqs {
-			ready := int64(100)
+			ready := now
 			for _, bucket := range buf.dests[0].buckets {
 				for _, lr := range bucket {
 					if lr.req != int32(i) {
 						continue
 					}
-					if done := hB.l1s[s].Access(lr.line, lr.write, 100); done > ready {
+					if done := h.l1s[s].Access(lr.line, lr.write, now); done > ready {
 						ready = done
 					}
 				}
 			}
-			hB.ready = append(hB.ready, [2]int64{int64(buf.reqs[i].tag), ready})
+			h.ready = append(h.ready, [2]int64{int64(buf.reqs[i].tag), ready})
+		}
+		buf.Reset()
+	}
+}
+
+// sameResults fails t unless a and b saw identical completions and
+// identical counters at every level.
+func sameResults(t *testing.T, name string, a, b *hier) {
+	t.Helper()
+	if len(a.ready) != len(b.ready) {
+		t.Fatalf("%s: %d completions, want %d", name, len(a.ready), len(b.ready))
+	}
+	for i := range a.ready {
+		if a.ready[i] != b.ready[i] {
+			t.Fatalf("%s: completion %d = %v, want %v", name, i, a.ready[i], b.ready[i])
 		}
 	}
-	if len(hA.ready) != len(hB.ready) {
-		t.Fatalf("completion counts: drain %d, sync %d", len(hA.ready), len(hB.ready))
+	if x, y := a.l2.Stats(), b.l2.Stats(); x != y {
+		t.Fatalf("%s: L2 stats %+v, want %+v", name, x, y)
 	}
-	for i := range hA.ready {
-		if hA.ready[i] != hB.ready[i] {
-			t.Fatalf("completion %d: drain %v, sync %v", i, hA.ready[i], hB.ready[i])
+	if x, y := a.dram.Stats(), b.dram.Stats(); x != y {
+		t.Fatalf("%s: DRAM stats %+v, want %+v", name, x, y)
+	}
+	for i := range a.l1s {
+		if x, y := a.l1s[i].Stats(), b.l1s[i].Stats(); x != y {
+			t.Fatalf("%s: L1 %d stats %+v, want %+v", name, i, x, y)
 		}
 	}
-	if a, b := hA.l2.Stats(), hB.l2.Stats(); a != b {
-		t.Fatalf("L2 stats diverge: drain %+v sync %+v", a, b)
-	}
-	if a, b := hA.dram.Stats(), hB.dram.Stats(); a != b {
-		t.Fatalf("DRAM stats diverge: drain %+v sync %+v", a, b)
+}
+
+// TestDrainMatchesSynchronousReplay: with single-bank level-1 caches and no
+// dirty L2 victims, the level-wave pipeline must reproduce the synchronous
+// Access path exactly — same per-request ready cycles, same counters — for
+// one dense flush, for a run of sparse flushes (one source, one bank), for
+// sparse and dense flushes alternating (dirty marks from a dense flush must
+// not leak into the next), and with more level-1 tasks than one bitset word
+// holds.
+func TestDrainMatchesSynchronousReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nSrc   int
+		perSrc int // requests per source in a dense flush
+		cycles int
+		dense  func(cycle int) bool
+	}{
+		{"dense", 2, 40, 1, func(int) bool { return true }},
+		{"sparse", 2, 0, 60, func(int) bool { return false }},
+		{"alternating", 3, 14, 60, func(c int) bool { return c%2 == 0 }},
+		{"72-sources", 72, 1, 80, func(c int) bool { return c%5 == 0 }},
+	} {
+		hA := buildHier(tc.nSrc, 1, 2)
+		hB := buildHier(tc.nSrc, 1, 2)
+		for c := 0; c < tc.cycles; c++ {
+			now := int64(100 + 40*c)
+			for _, h := range []*hier{hA, hB} {
+				if tc.dense(c) {
+					genRequests(h, int64(7+c), tc.perSrc)
+				} else {
+					genSparse(h, int64(c))
+				}
+			}
+			hA.drain.Flush(now, nil)
+			syncFlush(hB, now)
+		}
+		sameResults(t, tc.name, hA, hB)
 	}
 }
 
 // TestDrainExecutorInvariance: the drain's results must not depend on how
 // wave tasks are scheduled — serial, reversed, or genuinely concurrent
-// (the latter also puts the wave structure under the race detector).
+// (the latter also puts the wave structure under the race detector) — on
+// dense traffic, on sparse traffic and on the two alternating.
 func TestDrainExecutorInvariance(t *testing.T) {
 	reversed := func(n int, run func(int)) {
 		for i := n - 1; i >= 0; i-- {
@@ -238,35 +292,61 @@ func TestDrainExecutorInvariance(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	var base *hier
-	for name, exec := range map[string]Executor{
-		"serial": nil, "reversed": reversed, "concurrent": concurrent,
+	for _, traffic := range []struct {
+		name  string
+		dense func(cycle int) bool
+	}{
+		{"dense", func(int) bool { return true }},
+		{"sparse", func(int) bool { return false }},
+		{"alternating", func(c int) bool { return c%3 == 0 }},
 	} {
-		h := buildHier(3, 4, 4)
-		for cycle := 0; cycle < 30; cycle++ {
-			genRequests(h, int64(cycle), 10)
-			h.drain.Flush(int64(100*cycle), exec)
-		}
-		if base == nil {
-			base = h
-			continue
-		}
-		if len(h.ready) != len(base.ready) {
-			t.Fatalf("%s: %d completions, want %d", name, len(h.ready), len(base.ready))
-		}
-		for i := range h.ready {
-			if h.ready[i] != base.ready[i] {
-				t.Fatalf("%s: completion %d = %v, want %v", name, i, h.ready[i], base.ready[i])
+		var base *hier
+		for _, ex := range []struct {
+			name string
+			exec Executor
+		}{{"serial", nil}, {"reversed", reversed}, {"concurrent", concurrent}} {
+			h := buildHier(3, 4, 4)
+			for cycle := 0; cycle < 30; cycle++ {
+				if traffic.dense(cycle) {
+					genRequests(h, int64(cycle), 10)
+				} else {
+					genSparse(h, int64(cycle))
+				}
+				h.drain.Flush(int64(100*cycle), ex.exec)
 			}
-		}
-		if h.l2.Stats() != base.l2.Stats() || h.dram.Stats() != base.dram.Stats() {
-			t.Fatalf("%s: shared-level stats diverge", name)
-		}
-		for i := range h.l1s {
-			if h.l1s[i].Stats() != base.l1s[i].Stats() {
-				t.Fatalf("%s: L1 %d stats diverge", name, i)
+			if base == nil {
+				base = h
+				continue
 			}
+			sameResults(t, traffic.name+"/"+ex.name, h, base)
 		}
+	}
+}
+
+// TestDrainSparseFlushNoAllocs: once buckets and task lists have grown, a
+// flush that reaches one bank per level — the common case in long
+// simulations — allocates nothing, and neither does the dense flush after
+// it.
+func TestDrainSparseFlushNoAllocs(t *testing.T) {
+	h := buildHier(8, 4, 8)
+	for cycle := 0; cycle < 20; cycle++ {
+		genRequests(h, int64(cycle), 10)
+		h.drain.Flush(int64(100*cycle), nil)
+		genSparse(h, int64(cycle))
+		h.drain.Flush(int64(100*cycle+50), nil)
+	}
+	lines := []uint64{0, 64 * 5}
+	now := int64(10000)
+	allocs := testing.AllocsPerRun(200, func() {
+		h.ready = h.ready[:0]
+		h.bufs[5].AppendLine(0, uint64(now%96)*64, now%4 == 0, 1)
+		h.drain.Flush(now, nil)
+		h.bufs[2].Append(0, lines, false, 2)
+		h.drain.Flush(now+1, nil)
+		now += 2
+	})
+	if allocs != 0 {
+		t.Fatalf("sparse flush allocates %.1f times per run, want 0", allocs)
 	}
 }
 

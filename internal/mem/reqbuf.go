@@ -18,6 +18,11 @@ type dest struct {
 	buckets [][]lineReq
 }
 
+// bucketRef names one (destination, bank) bucket of a buffer.
+type bucketRef struct {
+	dest, bank int32
+}
+
 // request is the buffer-side record of one deferred access: the caller's
 // tag and the max-reduced completion cycle of its lines.
 type request struct {
@@ -41,6 +46,8 @@ type RequestBuffer struct {
 	dests []dest
 	reqs  []request
 	lines int
+	// dirty lists the non-empty buckets in first-append order.
+	dirty []bucketRef
 }
 
 // Register adds a destination cache and returns its handle for AppendLine/
@@ -57,10 +64,7 @@ func (b *RequestBuffer) Register(c *Cache) int {
 
 // AppendLine defers a single-line access to destination d.
 func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
-	dst := &b.dests[d]
-	bank := dst.cache.BankOf(line)
-	dst.buckets[bank] = append(dst.buckets[bank],
-		lineReq{line: line, write: write, req: int32(len(b.reqs))})
+	b.route(d, line, write, int32(len(b.reqs)))
 	b.reqs = append(b.reqs, request{tag: tag})
 	b.lines++
 }
@@ -70,15 +74,24 @@ func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
 // may be reused immediately. Cross-bank lines of one request max-reduce
 // their completion cycles back into a single ready cycle at drain time.
 func (b *RequestBuffer) Append(d int, lines []uint64, write bool, tag int) {
-	dst := &b.dests[d]
 	ri := int32(len(b.reqs))
 	for _, line := range lines {
-		bank := dst.cache.BankOf(line)
-		dst.buckets[bank] = append(dst.buckets[bank],
-			lineReq{line: line, write: write, req: ri})
+		b.route(d, line, write, ri)
 	}
 	b.reqs = append(b.reqs, request{tag: tag})
 	b.lines += len(lines)
+}
+
+// route appends one line of request ri to its bank's bucket of destination
+// d, marking the bucket dirty on its first line.
+func (b *RequestBuffer) route(d int, line uint64, write bool, ri int32) {
+	dst := &b.dests[d]
+	bank := dst.cache.BankOf(line)
+	if len(dst.buckets[bank]) == 0 {
+		b.dirty = append(b.dirty, bucketRef{dest: int32(d), bank: int32(bank)})
+	}
+	dst.buckets[bank] = append(dst.buckets[bank],
+		lineReq{line: line, write: write, req: ri})
 }
 
 // Len returns the number of deferred requests.
@@ -87,14 +100,19 @@ func (b *RequestBuffer) Len() int { return len(b.reqs) }
 // Lines returns the number of routed line accesses.
 func (b *RequestBuffer) Lines() int { return b.lines }
 
-// Reset empties the buffer, keeping its capacity.
+// bucket returns the bucket r names.
+func (b *RequestBuffer) bucket(r bucketRef) *[]lineReq {
+	return &b.dests[r.dest].buckets[r.bank]
+}
+
+// Reset empties the buffer, keeping its capacity. Only dirty buckets can
+// hold lines, so only they are truncated.
 func (b *RequestBuffer) Reset() {
 	b.reqs = b.reqs[:0]
-	for i := range b.dests {
-		d := &b.dests[i]
-		for k := range d.buckets {
-			d.buckets[k] = d.buckets[k][:0]
-		}
+	for _, r := range b.dirty {
+		bk := b.bucket(r)
+		*bk = (*bk)[:0]
 	}
+	b.dirty = b.dirty[:0]
 	b.lines = 0
 }

@@ -33,6 +33,10 @@ type Results struct {
 	Scale int
 }
 
+// DocScale is the input scale EXPERIMENTS.md is generated at: the
+// ilsim-report default.
+const DocScale = 2
+
 // Collect runs the whole suite under both abstractions, verifying outputs.
 // When withHW is set it also measures the hardware oracle. Jobs execute on
 // a default experiment engine (GOMAXPROCS workers).
@@ -428,19 +432,43 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("and resuming the coordinator re-leases only unfinished jobs, no matter\n")
 	b.WriteString("which machine ran the rest. Results assemble in submission order, making\n")
 	b.WriteString("the figures byte-identical to a single-machine run.\n\n")
+	b.WriteString("Leases carry bundles of jobs sized to `-bundle` worth of estimated work\n")
+	b.WriteString("(default 3s). For this suite the default is a reasonable middle ground;\n")
+	b.WriteString("when splitting the suite by abstraction, size the target to the job\n")
+	b.WriteString("length: HSAIL jobs are short (fewer modeled hazards), so a larger target\n")
+	b.WriteString("such as `-bundle 5s` amortizes coordinator round-trips, while GCN3 jobs\n")
+	b.WriteString("run several times longer and want `-bundle 1s` — or `-bundle 0` to\n")
+	b.WriteString("disable bundling — so a lease never strands minutes of work behind one\n")
+	b.WriteString("slow worker. Either way results stream back per job and the output is\n")
+	b.WriteString("bundle-agnostic.\n\n")
+	b.WriteString("On fleets you do not fully control, `-serve ... -replicas K` re-executes\n")
+	b.WriteString("every job on K distinct workers and accepts the majority result (README\n")
+	b.WriteString("\"Untrusted workers & chaos testing\"). That multiplies the campaign's\n")
+	b.WriteString("compute by K, so spend it deliberately: the integrity hash already\n")
+	b.WriteString("catches wire corruption for free, and the join handshake already refuses\n")
+	b.WriteString("drifted binaries, so replication only buys protection against a worker\n")
+	b.WriteString("that *computes* wrong — flaky hardware, aggressive overclocks, machines\n")
+	b.WriteString("you cannot audit. On a trusted cluster keep `-replicas 1` (the default)\n")
+	b.WriteString("and let the health ledger quarantine misbehaving nodes from lease\n")
+	b.WriteString("expiries and integrity failures alone. Reach for `-replicas 3` when the\n")
+	b.WriteString("figures are headed for a paper and the fleet is scavenged or volunteer\n")
+	b.WriteString("hardware — for this suite that turns an overnight regeneration into a\n")
+	b.WriteString("weekend one, so consider replicating only the final verification pass\n")
+	b.WriteString("rather than every exploratory sweep. Even values like 2 detect\n")
+	b.WriteString("disagreement but cannot outvote it (a 1–1 split just re-leases until a\n")
+	b.WriteString("majority exists), so odd K is the economical choice.\n\n")
 	b.WriteString("Three levels of parallelism stack: `-j` runs whole jobs concurrently,\n")
 	b.WriteString("`-cu-par` shards each simulation's compute-unit ticks across goroutines,\n")
 	b.WriteString("and `-mem-par` shards its memory drain's bank waves (statistics are\n")
 	b.WriteString("byte-identical at every setting — README \"Parallel timing\"). The\n")
-	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) auto-budget GOMAXPROCS/`-j` cores\n")
-	b.WriteString("per job so the product lands at roughly one goroutine per core; the two\n")
-	b.WriteString("intra-simulation knobs share one pool and never overlap, so a job's\n")
-	b.WriteString("peak concurrency is their max, not their sum. Prefer raising `-j` while\n")
-	b.WriteString("the queue is deeper than the host — job-level parallelism carries no\n")
-	b.WriteString("barrier overhead — and spend `-cu-par`/`-mem-par` when jobs no longer\n")
-	b.WriteString("outnumber cores: the tail of a campaign, or one big simulation. Asking\n")
-	b.WriteString("for `-j x max(-cu-par, -mem-par)` beyond the core count is honored but\n")
-	b.WriteString("warned about.\n\n")
+	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) are serial: a simulated cycle holds\n")
+	b.WriteString("a few microseconds of host work, less than a per-cycle barrier costs, so\n")
+	b.WriteString("the intra-simulation pool made every measured simulation slower. Raise\n")
+	b.WriteString("`-j` to use more cores — job-level parallelism carries no barrier\n")
+	b.WriteString("overhead. Values above 1 opt into the pool; its two knobs share one set\n")
+	b.WriteString("of workers and never overlap, so a job's peak concurrency is their max,\n")
+	b.WriteString("not their sum. Asking for `min(-j, jobs) x max(-cu-par, -mem-par)`\n")
+	b.WriteString("beyond the core count is honored but warned about.\n\n")
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())
@@ -461,6 +489,7 @@ func (r *Results) Markdown(cfg core.Config) string {
 		b.WriteString(AblationTable(rows))
 	}
 	b.WriteString(throughputSection)
+	b.WriteString(autoscalingSection)
 	return b.String()
 }
 
@@ -495,17 +524,46 @@ memory drain on top (` + "`-mem-par`" + ` at the full drain width);
 ` + "`BenchmarkSimulatorThroughputMemBound`" + `/` + "`...MemBoundParallel`" + ` repeat the
 serial-vs-stacked pair on ArrayBW, the memory-bound streaming workload
 the banked drain targets. Each parallel row's siminsts/s ratio to its
-serial baseline is the intra-simulation speedup and needs a multi-core
-host to exceed 1 — on a single core the pool costs a few percent of
-overhead and the serial fallback is the right setting. ` + "`make bench`" + `
+serial baseline is the intra-simulation speedup. On the hosts measured so
+far (one and two cores) it stayed below 1 — the per-cycle barriers cost
+more than a cycle's work — which is why the serial loop is the default
+and the pool is opt-in.
+The serial rows prepare the workload once, outside the timed loop, so
+they measure simulation alone. ` + "`make bench`" + `
 re-measures all rows and archives the result as BENCH_PR10.json; the CI
 bench-smoke job does the same per commit and additionally gates on
 TestCycleSkippingDeterminism (skip-on vs skip-off fingerprint identity),
 TestParallelTimingDeterminism (every -cu-par setting must fingerprint
 identically to serial), TestBankedMemoryDeterminism (every -cu-par x
 -mem-par combination must fingerprint identically to the serial drain)
-and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs (zero allocations in
-the steady-state two-phase cycle, bank routing included).
+and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs/TestDrainSparseFlushNoAllocs
+(zero allocations in the steady-state two-phase cycle, bank routing and
+sparse drains included).
+`
+
+// autoscalingSection is an operational note for distributed sweeps: the
+// paper's GCN3/HSAIL runtime asymmetry, seen as fleet sizing.
+const autoscalingSection = `
+### Autoscaling and the two abstractions (operational note)
+
+The paper's central asymmetry shows up operationally in distributed
+sweeps: GCN3 jobs simulate every ABI preamble instruction, the waitcnt
+protocol and real encodings, so a GCN3 leg routinely runs 1.5-3x longer
+than its HSAIL twin at the same sweep point (Figure 12's ratio, seen as
+wall-time). A fleet sized for the HSAIL half of a paired campaign is
+therefore undersized for the tail, where the long GCN3 jobs dominate the
+queue.
+
+The coordinator's ` + "`WantWorkers`" + ` hint already absorbs this — it scales by
+the *observed* per-job EWMA, so the hint rises as the mix shifts toward
+GCN3 — and ` + "`ilsim-fleetd`" + ` turns that into capacity without human
+attention. The practical knobs: a ` + "`-down-cooldown`" + ` comfortably longer
+than one GCN3 job (the default 30s suits scale-2 runs) keeps the fleet
+from shrinking during an HSAIL burst only to regrow for the GCN3 tail,
+and the drain contract makes the late scale-down free — a drained worker
+finishes its in-flight GCN3 job, returns the unstarted remainder, and
+nothing re-runs. Fingerprints stay byte-identical to a local run
+throughout (` + "`TestSupervisorAutoscaleChaos`" + `, CI ` + "`autoscale-smoke`" + `).
 `
 
 func abs(v float64) float64 {
