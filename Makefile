@@ -1,9 +1,12 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
-# the concurrency-sensitive packages under the race detector — the
-# experiment engine's determinism tests and the full distributed suite
-# (bundled leases, mid-bundle reassignment, TLS/token auth, quorum voting,
-# chaos fault injection, fleet supervision) included, so coordinator and
-# worker locking is exercised under contention on every run.
+# the packages that start goroutines under the race detector: the
+# experiment engine's -j workers with its determinism tests, the full
+# distributed suite (bundled leases, mid-bundle reassignment, TLS/token
+# auth, quorum voting, chaos fault injection, fleet supervision), so
+# coordinator and worker locking is exercised under contention on every
+# run, and the memory drain's concurrent-executor invariance test. The
+# simulation itself (core, timing, stats) is one serial loop; it stays in
+# the list because the engines above drive it from many goroutines.
 # `make fuzz` gives the wire codec a short coverage-guided beating.
 
 GO ?= go
@@ -38,15 +41,11 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
 
-# bench measures simulator throughput — the serial hot path (the PR 4
-# metric), the CU-parallel loop (the PR 9 metric), and the stacked
-# CU-parallel + banked-memory drain (the PR 10 metric), plus the
-# memory-bound ArrayBW serial/parallel pair the banked drain targets — and
-# archives all rows as JSON for cross-commit comparison. The parallel/serial
-# siminsts/s ratios are the intra-simulation speedups; they only exceed 1 on
-# a multi-core host.
+# bench measures simulator throughput on the serial hot path — MD
+# (latency-bound) and memory-bound ArrayBW, both with zero run options —
+# and archives the rows as JSON for cross-commit comparison.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput(Parallel|MemParallel|MemBound(Parallel)?)?$$' -benchtime 10x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput(MemBound)?$$' -benchtime 10x -benchmem . \
 		| $(GO) run ./cmd/ilsim-benchjson -out BENCH_PR10.json
 	@cat BENCH_PR10.json
 

@@ -291,54 +291,21 @@ func BenchmarkSweepParallel(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// dynamic instructions per wall-clock second under each abstraction, on the
-// serial timing loop (cu-par=1, mem-par=1). The workload is prepared once,
-// outside the timed loop, so only simulation is measured.
+// dynamic instructions per wall-clock second under each abstraction, with
+// zero run options. The workload is prepared once, outside the timed loop,
+// so only simulation is measured.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchThroughput(b, "MD", core.RunOptions{CUParallelism: 1, MemParallelism: 1})
+	benchThroughput(b, "MD")
 }
 
-// BenchmarkSimulatorThroughputParallel is the same measurement with the
-// cycle's CU ticks sharded across one goroutine per compute unit (the
-// statistics are byte-identical — TestParallelTimingDeterminism proves it;
-// only wall-clock changes). The siminsts/s ratio to the serial benchmark is
-// the intra-simulation speedup; it needs a multi-core host to exceed 1.
-func BenchmarkSimulatorThroughputParallel(b *testing.B) {
-	benchThroughput(b, "MD", core.RunOptions{
-		CUParallelism: core.DefaultConfig().NumCUs, MemParallelism: 1})
-}
-
-// BenchmarkSimulatorThroughputMemParallel stacks both intra-simulation
-// levels: CU ticks on one goroutine per compute unit plus the phase-2 drain
-// sharded across the banked memory system's full width (L1 banks, L2 banks,
-// DRAM channels as level waves; TestBankedMemoryDeterminism proves the
-// statistics byte-identical). Compare to the two rows above on the same
-// workload.
-func BenchmarkSimulatorThroughputMemParallel(b *testing.B) {
-	cfg := core.DefaultConfig()
-	benchThroughput(b, "MD", core.RunOptions{
-		CUParallelism: cfg.NumCUs, MemParallelism: cfg.DrainWidth()})
-}
-
-// BenchmarkSimulatorThroughputMemBound is the serial baseline on ArrayBW,
-// the suite's memory-bound streaming workload — the case the banked drain
-// targets, since nearly every cycle carries L1-missing traffic into the
-// L2/DRAM waves.
+// BenchmarkSimulatorThroughputMemBound is the same measurement on ArrayBW,
+// the suite's memory-bound streaming workload: nearly every cycle carries
+// L1-missing traffic into the drain's L2/DRAM waves.
 func BenchmarkSimulatorThroughputMemBound(b *testing.B) {
-	benchThroughput(b, "ArrayBW", core.RunOptions{CUParallelism: 1, MemParallelism: 1})
+	benchThroughput(b, "ArrayBW")
 }
 
-// BenchmarkSimulatorThroughputMemBoundParallel is ArrayBW with both
-// parallelism levels at full width; the siminsts/s ratio to
-// BenchmarkSimulatorThroughputMemBound is the banked drain's speedup on
-// memory-bound work (needs a multi-core host to exceed 1).
-func BenchmarkSimulatorThroughputMemBoundParallel(b *testing.B) {
-	cfg := core.DefaultConfig()
-	benchThroughput(b, "ArrayBW", core.RunOptions{
-		CUParallelism: cfg.NumCUs, MemParallelism: cfg.DrainWidth()})
-}
-
-func benchThroughput(b *testing.B, workload string, opts core.RunOptions) {
+func benchThroughput(b *testing.B, workload string) {
 	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 		abs := abs
 		b.Run(abs.String(), func(b *testing.B) {
@@ -359,7 +326,7 @@ func benchThroughput(b *testing.B, workload string, opts core.RunOptions) {
 			var insts uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run, m, err := sim.Run(abs, workload, inst.Setup, opts)
+				run, m, err := sim.Run(abs, workload, inst.Setup, core.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

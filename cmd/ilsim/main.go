@@ -61,8 +61,6 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	noSkip := fs.Bool("noskip", false, "disable cycle skipping (tick every cycle; identical results, for verification)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = serial (default); >1 opts into the worker pool, capped at NumCUs; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = serial (default); >1 opts into the worker pool, capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -106,8 +104,7 @@ func run(args []string, out, errw io.Writer) error {
 		cfg.L1ISize = *l1iKB << 10
 	}
 	opts := core.RunOptions{TrackValues: *values, ValueSampleEvery: 4, TrackReuse: *reuse,
-		MaxCycles: *maxCycles, DisableCycleSkipping: *noSkip,
-		CUParallelism: *cuPar, MemParallelism: *memPar}
+		MaxCycles: *maxCycles, DisableCycleSkipping: *noSkip}
 
 	var targets []core.Abstraction
 	switch *abs {
@@ -128,10 +125,7 @@ func run(args []string, out, errw io.Writer) error {
 				Opts: opts, Timeout: *timeout})
 		}
 	}
-	warnOversubscription(errw, *workers, len(jobs), *cuPar, *memPar)
 	eng := exp.New(*workers)
-	eng.CUParallelism = *cuPar
-	eng.MemParallelism = *memPar
 	if *verbose {
 		eng.OnProgress = func(p exp.Progress) { fmt.Fprintln(errw, p.Line()) }
 	}
@@ -305,16 +299,6 @@ func jsonReport(runs []*stats.Run, scale int) map[string]any {
 		out[r.Abstraction] = j
 	}
 	return out
-}
-
-// warnOversubscription tells the user when an explicit -cu-par or -mem-par
-// setting multiplied by the simulations running at once (at most
-// min(workers, jobs)) exceeds the host's cores. The settings are still
-// honored (results are identical, only wall-clock suffers).
-func warnOversubscription(errw io.Writer, workers, jobs, cuPar, memPar int) {
-	if msg := core.OversubscriptionWarning(workers, jobs, cuPar, memPar); msg != "" {
-		fmt.Fprintln(errw, "ilsim:", msg)
-	}
 }
 
 func ratio(a, b uint64) float64 {

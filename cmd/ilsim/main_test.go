@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,31 +106,6 @@ func TestListWorkloads(t *testing.T) {
 	for _, want := range []string{"ArrayBW", "LULESH", "SpMV"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("missing %q in -list output:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestOversubscriptionWarningCountsJobs: one job at -cu-par = cores fills
-// the host without oversubscribing it, so it must not warn; two jobs at
-// the same setting must.
-func TestOversubscriptionWarningCountsJobs(t *testing.T) {
-	cores := runtime.GOMAXPROCS(0)
-	if cores < 2 {
-		t.Skip("needs GOMAXPROCS >= 2 for a pool that fits the host")
-	}
-	for _, tc := range []struct {
-		abs  string
-		warn bool
-	}{{"gcn3", false}, {"both", true}} {
-		var out, errw bytes.Buffer
-		args := []string{"-workload", "ArrayBW", "-scale", "1", "-abs", tc.abs,
-			"-cu-par", strconv.Itoa(cores)}
-		if err := run(args, &out, &errw); err != nil {
-			t.Fatalf("-abs %s: %v\nstderr: %s", tc.abs, err, errw.String())
-		}
-		if got := strings.Contains(errw.String(), "oversubscribes"); got != tc.warn {
-			t.Fatalf("-abs %s -cu-par %d: warned %t, want %t; stderr: %q",
-				tc.abs, cores, got, tc.warn, errw.String())
 		}
 	}
 }

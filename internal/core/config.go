@@ -41,7 +41,7 @@ type Config struct {
 	L2Ways int
 	// L2Banks set-interleaves the L2 into independent banks, each with its
 	// own request port; with DRAM channels they are the units the phase-2
-	// drain can service in parallel (-mem-par).
+	// drain replays bank by bank.
 	L2Banks int
 	// DRAMChannels / DRAMLatency / DRAMOccupancy: memory channels and
 	// per-access timing in GPU cycles.
@@ -103,8 +103,9 @@ func (c Config) Validate() error {
 
 // DrainWidth returns the widest phase-2 drain wave this configuration
 // produces — level-1 cache banks (per-CU L1Ds plus the per-4-CU I- and
-// scalar caches), L2 banks, or DRAM channels — which is the useful upper
-// bound on -mem-par.
+// scalar caches), L2 banks, or DRAM channels.
+//
+// Deprecated: kept only because the ilbench module still calls it.
 func (c Config) DrainWidth() int {
 	nShared := (c.NumCUs + 3) / 4
 	w := c.NumCUs + 2*nShared

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"ilsim/internal/stats"
 	"ilsim/internal/timing"
@@ -24,20 +23,13 @@ type RunOptions struct {
 	// TrackReuse enables register reuse-distance tracking (Fig 7).
 	TrackReuse bool
 
-	// CUParallelism shards each cycle's compute-unit ticks across this
-	// many goroutines (the paper-visible statistics are byte-identical at
-	// every setting). 0 = serial (default), as does 1; values above 1 opt
-	// into the worker pool, capped at NumCUs by ResolveCUParallelism.
+	// CUParallelism is ignored: simulations run on one serial loop.
+	//
+	// Deprecated: kept only because the ilbench module still sets it.
 	CUParallelism int
-
-	// MemParallelism shards the phase-2 memory drain's bank waves — L1
-	// banks, then L2 banks, then DRAM channels — across this many pool
-	// goroutines (statistics stay byte-identical at every setting; the
-	// determinism suite pins it). 0 = serial (default), as does 1; values
-	// above 1 opt in, capped at Config.DrainWidth() by
-	// ResolveMemParallelism. The pool is shared with CU ticking and the
-	// phases never overlap, so a simulation's peak concurrency is
-	// max(CUParallelism, MemParallelism), not their sum.
+	// MemParallelism is ignored: the memory drain is serial.
+	//
+	// Deprecated: kept only because the ilbench module still sets it.
 	MemParallelism int
 
 	// MaxCycles bounds the run's total simulated cycles (0 = unlimited);
@@ -59,70 +51,15 @@ type RunOptions struct {
 	DisableCycleSkipping bool
 }
 
-// ResolveCUParallelism turns a requested per-simulation CU-parallelism
-// setting into an effective worker count. Auto (<=0) resolves to 1, the
-// serial loop: a simulated cycle holds only a few microseconds of host work,
-// less than a per-cycle barrier across the pool costs, so on the hosts
-// measured so far the pool made simulations slower. An explicit request
-// (>0) is honored up to the CU count — even if it oversubscribes the host;
-// CLIs warn about that but defer to the user. activeJobs, the number of
-// concurrent simulations, does not affect the result.
-func ResolveCUParallelism(requested, numCUs, activeJobs int) int {
-	return resolveParallelism(requested, numCUs)
-}
+// ResolveCUParallelism returns 1: simulations run on one serial loop.
+//
+// Deprecated: kept only because the ilbench module still calls it.
+func ResolveCUParallelism(requested, numCUs, activeJobs int) int { return 1 }
 
-// ResolveMemParallelism turns a requested drain-parallelism setting into an
-// effective worker count, mirroring ResolveCUParallelism: auto (<=0)
-// resolves to 1, the serial drain; an explicit request (>0) is honored up to
-// width (the configuration's DrainWidth — the widest bank wave, beyond which
-// extra workers can never find a task). activeJobs does not change the
-// result.
-func ResolveMemParallelism(requested, width, activeJobs int) int {
-	return resolveParallelism(requested, width)
-}
-
-// resolveParallelism caps an explicit request at limit; auto is serial.
-func resolveParallelism(requested, limit int) int {
-	if requested <= 1 || limit <= 1 {
-		return 1
-	}
-	if requested > limit {
-		return limit
-	}
-	return requested
-}
-
-// OversubscriptionWarning returns a human-readable warning when an explicit
-// intra-simulation parallelism request multiplied by the number of
-// simulations running at once exceeds the host's cores, or "" when the
-// combination is fine (or serial). A simulation's peak concurrency is
-// max(cuPar, memPar) — the phase-1 tick and phase-2 drain share one pool and
-// never overlap. At most min(jobWorkers, jobs) simulations run at once:
-// jobWorkers <= 0 means GOMAXPROCS, matching the engines' -j default, and
-// jobs <= 0 means the job count is unknown (a distributed worker leases
-// jobs as they come), so only jobWorkers bounds it.
-func OversubscriptionWarning(jobWorkers, jobs, cuPar, memPar int) string {
-	intra := cuPar
-	if memPar > intra {
-		intra = memPar
-	}
-	if intra <= 1 {
-		return ""
-	}
-	cores := runtime.GOMAXPROCS(0)
-	if jobWorkers <= 0 {
-		jobWorkers = cores
-	}
-	concurrent := jobWorkers
-	if jobs > 0 && jobs < concurrent {
-		concurrent = jobs
-	}
-	if total := concurrent * intra; total > cores {
-		return fmt.Sprintf("%d concurrent jobs x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer (use -cu-par 0 / -mem-par 0 for the serial loop)",
-			concurrent, cuPar, memPar, total, cores)
-	}
-	return ""
-}
+// ResolveMemParallelism returns 1: the memory drain is serial.
+//
+// Deprecated: kept only because the ilbench module still calls it.
+func ResolveMemParallelism(requested, width, activeJobs int) int { return 1 }
 
 // Simulator runs workloads on the timed GPU model under either abstraction.
 type Simulator struct {
@@ -178,10 +115,6 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 		return nil, nil, fmt.Errorf("core: %s/%s setup: %w", workload, abs, err)
 	}
 	gpu := timing.NewGPU(s.params(), run)
-	gpu.Mem = m.Ctx.Mem
-	gpu.Parallelism = ResolveCUParallelism(opts.CUParallelism, s.Cfg.NumCUs, 1)
-	gpu.MemParallelism = ResolveMemParallelism(opts.MemParallelism, s.Cfg.DrainWidth(), 1)
-	defer gpu.Stop()
 	wd := timing.Watchdog{
 		MaxCycles:  int64(opts.MaxCycles),
 		MaxInsts:   opts.MaxInsts,

@@ -10,14 +10,24 @@ import (
 
 // TestCycleSkippingDeterminism proves the event-driven fast path is a pure
 // speedup: running with cycle skipping disabled (every cycle ticked) and
-// enabled (inert spans jumped) must produce byte-identical statistics. MD
-// and LULESH cover the two scheduling regimes that stress the skip logic —
-// MD is long-latency-bound (deep waitcnt/scoreboard waits, the spans the
-// skipper elides), LULESH is launch-bound (many small kernels, so dispatch
-// and drain edges repeat often).
+// enabled (inert spans jumped) must produce byte-identical statistics for
+// every workload of the Table 5 suite under both abstractions. Value and
+// reuse tracking are on, so the order-sensitive statistics (value-
+// uniqueness sampling, reuse distances) are compared too. Under -short, MD
+// (long-latency-bound: deep waitcnt/scoreboard waits, the spans the skipper
+// elides), LULESH (launch-bound: many small kernels, so dispatch and drain
+// edges repeat often), SpMV (divergent) and HPGMG (multi-kernel stencil)
+// cover the scheduling regimes.
 func TestCycleSkippingDeterminism(t *testing.T) {
+	names := []string{
+		"ArrayBW", "BitonicSort", "CoMD", "FFT", "HPGMG",
+		"LULESH", "MD", "SNAP", "SpMV", "XSBench",
+	}
+	if testing.Short() {
+		names = []string{"MD", "LULESH", "SpMV", "HPGMG"}
+	}
 	opts := core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}
-	for _, name := range []string{"MD", "LULESH"} {
+	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)

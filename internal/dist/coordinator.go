@@ -1295,9 +1295,11 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 		cp.logf("dist: worker %s released %d leases", req.Worker, len(req.Indexes))
 	}
 	// Handing leases back without results is a worker's goodbye — mark it
-	// draining so status reflects it and the linger does not wait for it.
+	// draining so status reflects it and the linger does not wait for it,
+	// and wake its pending lease polls so they answer with the drain flag.
 	cp.mu.Lock()
 	cp.drains[req.Worker] = true
+	cp.broadcastLocked()
 	cp.mu.Unlock()
 	reply(w, struct{}{})
 }

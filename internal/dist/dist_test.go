@@ -334,6 +334,8 @@ func TestJoinVersionMismatch(t *testing.T) {
 	jobs := testJobs(t, 1)
 	ctx := context.Background()
 	c, out := startCampaign(t, ctx, Options{}, jobs)
+	// Joins answer 503 until the campaign is installed.
+	waitCampaign(t, c)
 
 	body, _ := json.Marshal(joinRequest{Version: ProtocolVersion + 1, Worker: "old"})
 	resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))

@@ -103,6 +103,74 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestDrainAnswersPendingLeasePoll drains a worker whose only slot sits in
+// a lease long-poll with nothing to lease. The drain must end that poll
+// through the coordinator — a goodbye that marks the worker draining and
+// wakes the poll — rather than only canceling it on the worker's side: a
+// poll canceled just after the coordinator granted it a bundle would
+// strand those leases until their TTL.
+func TestDrainAnswersPendingLeasePoll(t *testing.T) {
+	jobs := testJobs(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, _ := startCampaign(t, ctx, Options{LongPoll: 30 * time.Second, LeaseTTL: 60 * time.Second}, jobs)
+
+	// A holder with one slot per job leases every job and sits on it.
+	holder := &Worker{Coordinator: c.Addr(), Name: "holder", Slots: len(jobs),
+		Engine: slowEngine(jobs, time.Minute)}
+	holderDone := make(chan error, 1)
+	go func() { holderDone <- holder.Run(ctx) }()
+	defer func() { cancel(); <-holderDone }()
+	cp := waitCampaign(t, c)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			cp.mu.Lock()
+			ok := cond()
+			cp.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor("the holder to lease every job", func() bool {
+		for idx := range jobs {
+			if _, held := cp.leases[idx]["holder"]; !held {
+				return false
+			}
+		}
+		return true
+	})
+
+	w := &Worker{Coordinator: c.Addr(), Name: "drainer", Slots: 1, LongPoll: 30 * time.Second}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	waitFor("the drainer's lease poll", func() bool {
+		ws := cp.workers["drainer"]
+		return ws != nil && !ws.seen.IsZero()
+	})
+	w.Drain()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("draining worker: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not end the pending lease poll")
+	}
+	cp.mu.Lock()
+	drained := cp.drains["drainer"]
+	cp.mu.Unlock()
+	if !drained {
+		t.Fatal("the coordinator was never told about the drain")
+	}
+}
+
 // TestCoordinatorMediatedDrain exercises the fleet scale-down contract
 // end to end: POST /drain marks a worker on the coordinator, the drain
 // flag reaches the worker over its heartbeat while it is deep inside a

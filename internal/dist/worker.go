@@ -168,15 +168,22 @@ func (w *Worker) Run(ctx context.Context) error {
 	defer cancel()
 	go w.heartbeatLoop(ctx)
 
-	// leaseCtx dies when Drain fires: it cuts short lease long-polls (and
-	// their retry backoffs) without interrupting job execution, which
-	// keeps running on ctx until the in-flight work is reported.
+	// When Drain fires, lease long-polls (and their retry backoffs) must
+	// end without interrupting job execution, which keeps running on ctx
+	// until the in-flight work is reported. Canceling a poll the
+	// coordinator has already answered with a bundle would strand those
+	// leases until their TTL, so the worker first says goodbye: the
+	// coordinator then answers pending polls with the drain flag, and a
+	// bundle already granted still arrives and runBundle hands it back.
+	// leaseCtx cuts the polls short only when the goodbye fails.
 	leaseCtx, leaseCancel := context.WithCancel(ctx)
 	defer leaseCancel()
 	go func() {
 		select {
 		case <-w.drainChan():
-			leaseCancel()
+			if !w.goodbye(ctx) {
+				leaseCancel()
+			}
 		case <-leaseCtx.Done():
 		}
 	}()
@@ -356,6 +363,14 @@ func (w *Worker) releaseRemainder(ctx context.Context, idxs []int) {
 		return
 	}
 	w.Logf("dist: %s released %d unstarted leases while draining", w.Name, len(idxs))
+}
+
+// goodbye tells the coordinator this worker is draining (a /release with
+// no indexes) and reports whether the coordinator acknowledged it.
+func (w *Worker) goodbye(ctx context.Context) bool {
+	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	return w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP}, &struct{}{}) == nil
 }
 
 // addHeld and dropHeld maintain the lease set the heartbeat loop renews.

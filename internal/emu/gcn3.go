@@ -34,12 +34,8 @@ type GCN3Engine struct {
 	// safe because sources are filled for all lanes (readVecSrc) and dst
 	// is both written and consumed under EXEC (perLane / writeVecDst), so
 	// stale lanes are never observable. They also make Execute
-	// non-reentrant: concurrent compute units need per-CU clones (Fork).
+	// non-reentrant; each compute unit executes on its own clone (Fork).
 	vs0, vs1, vs2, vdst [isa.WavefrontSize]uint64
-
-	// sharedAtomics records whether the kernel touches shared memory with
-	// read-modify-write operations (computed once at load).
-	sharedAtomics bool
 }
 
 var _ Forker = (*GCN3Engine)(nil)
@@ -54,31 +50,17 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base 
 	for i := range e.infos {
 		e.infos[i] = e.decodeInfo(i)
 	}
-	for i := range e.prog.Insts {
-		if e.prog.Insts[i].Op == gcn3.OpFlatAtomicAdd {
-			e.sharedAtomics = true
-			break
-		}
-	}
 	return e
 }
 
 // Fork returns an execution clone for one compute unit: shared decode
 // state, private lane scratch (the struct copy), a private collector
-// targeting run, and a private memory view when mv is non-nil.
+// targeting run. mv is ignored.
 func (e *GCN3Engine) Fork(run *stats.Run, mv *mem.Memory) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
-	if mv != nil {
-		ctx := *e.Ctx
-		ctx.Mem = mv
-		f.Ctx = &ctx
-	}
 	return &f
 }
-
-// SharedAtomics reports read-modify-write use of shared (non-LDS) memory.
-func (e *GCN3Engine) SharedAtomics() bool { return e.sharedAtomics }
 
 // Abstraction identifies the engine.
 func (e *GCN3Engine) Abstraction() string { return "GCN3" }

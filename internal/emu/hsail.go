@@ -39,13 +39,9 @@ type HSAILEngine struct {
 	// so the hot path does not zero 2KB of stack per instruction. Reuse is
 	// safe because sources are filled for all lanes (readSrc) and dst is
 	// both written and consumed under EXEC (perLane / writeDst), so stale
-	// lanes are never observable. They also make Execute non-reentrant:
-	// concurrent compute units need per-CU clones (Fork).
+	// lanes are never observable. They also make Execute non-reentrant;
+	// each compute unit executes on its own clone (Fork).
 	vs0, vs1, vs2, vdst [isa.WavefrontSize]uint64
-
-	// sharedAtomics records whether the kernel touches shared memory with
-	// read-modify-write operations (computed once at load).
-	sharedAtomics bool
 }
 
 var _ Forker = (*HSAILEngine)(nil)
@@ -65,31 +61,17 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.D
 	for i := range e.infos {
 		e.infos[i] = e.decodeInfo(i)
 	}
-	for _, in := range e.flat {
-		if in.Op == hsail.OpAtomicAdd && in.Seg != hsail.SegGroup {
-			e.sharedAtomics = true
-			break
-		}
-	}
 	return e
 }
 
 // Fork returns an execution clone for one compute unit: shared decode
 // state, private lane scratch (the struct copy), a private collector
-// targeting run, and a private memory view when mv is non-nil.
+// targeting run. mv is ignored.
 func (e *HSAILEngine) Fork(run *stats.Run, mv *mem.Memory) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
-	if mv != nil {
-		ctx := *e.Ctx
-		ctx.Mem = mv
-		f.Ctx = &ctx
-	}
 	return &f
 }
-
-// SharedAtomics reports read-modify-write use of shared (non-LDS) memory.
-func (e *HSAILEngine) SharedAtomics() bool { return e.sharedAtomics }
 
 // Abstraction identifies the engine.
 func (e *HSAILEngine) Abstraction() string { return "HSAIL" }

@@ -175,10 +175,9 @@ type Collector struct {
 }
 
 // Fork returns a collector with the same tracking settings but targeting
-// run. The parallel timing core forks one collector per compute unit so
-// the sampling counter (order-dependent state) advances per-CU: sampling
-// decisions then depend only on that CU's own access sequence, which is
-// identical at every host parallelism level.
+// run. The timing core forks one collector per compute unit so the
+// sampling counter (order-dependent state) advances per CU: sampling
+// decisions then depend only on that CU's own access sequence.
 func (c *Collector) Fork(run *stats.Run) *Collector {
 	f := &Collector{Run: run}
 	if c != nil {
@@ -276,23 +275,17 @@ type Engine interface {
 	RegDemand() (int, int)
 }
 
-// Forker is implemented by engines whose Execute can be sharded across
-// compute units: Fork produces an execution clone that shares the
+// Forker is implemented by engines that give each compute unit its own
+// statistics shard: Fork produces an execution clone that shares the
 // immutable decode state (flattened program, per-PC scheduling metadata)
-// but owns every piece of mutable per-execution state — the lane scratch
-// buffers, a private statistics collector targeting run, and (when mv is
-// non-nil) a private functional-memory view. Clones may then Execute
-// concurrently, one per goroutine, as long as their waves do not write the
-// same bytes within one timing epoch.
+// and the functional memory, but owns the lane scratch buffers and a
+// private statistics collector targeting run.
 type Forker interface {
 	Engine
 	// Fork returns the clone. run receives the clone's statistics
-	// (merge shards back with stats.Run.Merge); mv, when non-nil,
-	// replaces the clone's memory view (obtain one with mem.Memory.Fork).
+	// (merge shards back with stats.Run.Merge).
+	//
+	// Deprecated: mv is ignored; the parameter stays only because the
+	// ilbench module's recording engine implements this signature.
 	Fork(run *stats.Run, mv *mem.Memory) Engine
-	// SharedAtomics reports whether the kernel performs read-modify-write
-	// accesses against shared (non-LDS) memory. Such kernels are only
-	// correct under the serial interleaving: the timing core must not run
-	// their compute units concurrently.
-	SharedAtomics() bool
 }

@@ -58,9 +58,9 @@ func (j Job) String() string {
 // the job's result — the identity the journal keys completed work by, in
 // the same spirit as stats.Run.Fingerprint() on the result side. Two jobs
 // with equal fingerprints would (determinism guarantee) produce
-// byte-identical runs. CUParallelism and MemParallelism are excluded: they
-// are execution knobs with byte-identical results at every setting, so a
-// journal written on a 32-core host must resume cleanly on a laptop.
+// byte-identical runs. The ignored CUParallelism and MemParallelism options
+// are zeroed, so journals written while they still selected a worker pool
+// keep resuming.
 func (j Job) Fingerprint() string {
 	opts := j.Opts
 	opts.CUParallelism = 0
@@ -225,18 +225,6 @@ type Engine struct {
 	// Faults, when non-nil, injects scheduled failures into matching jobs
 	// — test instrumentation for the fault-tolerance suite.
 	Faults *FaultPlan
-
-	// CUParallelism overrides every job's core.RunOptions.CUParallelism —
-	// it is a property of the executing host, not of the job (and is
-	// excluded from job fingerprints for the same reason). 0 keeps the
-	// jobs' own settings, which default to the serial loop: concurrent
-	// jobs, not intra-simulation workers, are what use a multi-core host.
-	CUParallelism int
-
-	// MemParallelism is the same host-level override for the phase-2
-	// memory-drain parallelism (core.RunOptions.MemParallelism), excluded
-	// from job fingerprints for the same reason.
-	MemParallelism int
 
 	cacheOnce sync.Once
 	cache     *InstanceCache
@@ -454,15 +442,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, attempt int) (run *stats.R
 	if err != nil {
 		return nil, err
 	}
-	opts := job.Opts
-	if e.CUParallelism != 0 {
-		// Host-level override (results are identical at every setting).
-		opts.CUParallelism = e.CUParallelism
-	}
-	if e.MemParallelism != 0 {
-		opts.MemParallelism = e.MemParallelism
-	}
-	run, m, err := sim.RunContext(ctx, job.Abs, job.Workload, inst.Setup, opts)
+	run, m, err := sim.RunContext(ctx, job.Abs, job.Workload, inst.Setup, job.Opts)
 	if err != nil {
 		return nil, err
 	}

@@ -415,6 +415,21 @@ func TestJobFingerprint(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("%d distinct fingerprints for 6 distinct jobs", len(seen))
 	}
+
+	// Journals written by earlier builds must keep resuming: the hash of a
+	// fixed job is pinned to the literal those builds produced, and the
+	// ignored parallelism options do not move it.
+	pinned := Job{Label: "p", Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
+		Config: core.DefaultConfig(), Timeout: time.Minute,
+		Opts: core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}}
+	const want = "ebb5ebe37b0aab2d56dc3559"
+	if got := pinned.Fingerprint(); got != want {
+		t.Errorf("pinned job fingerprint = %s, want %s", got, want)
+	}
+	pinned.Opts.CUParallelism, pinned.Opts.MemParallelism = 4, 8
+	if got := pinned.Fingerprint(); got != want {
+		t.Errorf("fingerprint with parallelism options set = %s, want %s", got, want)
+	}
 }
 
 // TestWriteFailureSummary checks the stderr failure report the CLIs share.

@@ -6,11 +6,10 @@ import (
 )
 
 // Executor runs n independent tasks, indexed 0..n-1, and returns when all
-// have finished. The timing layer injects its worker pool through this so
-// the drain can shard bank waves without depending on package timing; nil
-// means run serially in index order. Tasks within one wave touch disjoint
-// state, so any execution order (or interleaving) produces identical
-// results — the executor choice affects wall clock only.
+// have finished; nil means run serially in index order. Tasks within one
+// wave touch disjoint state, so any execution order (or interleaving)
+// produces identical results. The timing core always passes nil;
+// TestDrainExecutorInvariance drives the other orders.
 type Executor func(n int, run func(int))
 
 func serialExec(n int, run func(int)) {
@@ -203,29 +202,6 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 	return d
 }
 
-// MaxWave returns the widest wave's task count — the useful upper bound on
-// drain parallelism.
-func (d *Drain) MaxWave() int {
-	w := len(d.l1T)
-	if len(d.l2T) > w {
-		w = len(d.l2T)
-	}
-	if len(d.drT) > w {
-		w = len(d.drT)
-	}
-	return w
-}
-
-// Pending returns the number of routed line accesses waiting across all
-// sources.
-func (d *Drain) Pending() int {
-	n := 0
-	for _, s := range d.srcs {
-		n += s.Buf.lines
-	}
-	return n
-}
-
 // procCache replays one cache bank's inputs: level-1 buckets first (only
 // level-1 tasks have any), then lower-level job buckets, both in wiring
 // order. Misses and posted writes are deposited into the lower bank's
@@ -361,6 +337,9 @@ func (d *Drain) reduce() {
 // (level 1, L2, DRAM) on exec, then the serial finalize and reduction
 // passes. exec == nil runs the waves serially; results are byte-identical
 // either way. Each step visits only the tasks this flush's traffic reached.
+//
+// Deprecated: exec is read only by the ilbench module's drain replay and
+// TestDrainExecutorInvariance; the timing core passes nil.
 func (d *Drain) Flush(now int64, exec Executor) {
 	nreq := 0
 	for _, s := range d.srcs {

@@ -11,7 +11,7 @@ type lineReq struct {
 }
 
 // dest is one cache a buffer routes into: per-bank buckets so that routing
-// happens at append time, inside the parallel phase, and the drain can hand
+// happens at append time, during the CU tick phase, and the drain can hand
 // each bank its inputs without any further sorting.
 type dest struct {
 	cache   *Cache
@@ -31,13 +31,12 @@ type request struct {
 }
 
 // RequestBuffer is an append-only, replayable queue of deferred cache
-// accesses, routed to destination banks as it is appended. The parallel
-// timing core gives each compute unit one buffer: phase 1 appends requests
-// in the exact order the serial model would have issued them, bucketing each
-// line by (destination cache, bank); phase 2 (Drain.Flush) replays every
-// bank's bucket sequence in (CU index, append order), so each bank's
-// port/LRU/miss-counter state evolves deterministically regardless of which
-// goroutine services it. Reset keeps capacity, so a steady-state tick/drain
+// accesses, routed to destination banks as it is appended. The timing core
+// gives each compute unit one buffer: phase 1 appends requests in issue
+// order, bucketing each line by (destination cache, bank); phase 2
+// (Drain.Flush) replays every bank's bucket sequence in (CU index, append
+// order), so each bank's port/LRU/miss-counter state evolves in a fixed
+// order. Reset keeps capacity, so a steady-state tick/drain
 // cycle allocates nothing.
 //
 // All Register calls must precede Drain construction (the drain captures
@@ -45,7 +44,6 @@ type request struct {
 type RequestBuffer struct {
 	dests []dest
 	reqs  []request
-	lines int
 	// dirty lists the non-empty buckets in first-append order.
 	dirty []bucketRef
 }
@@ -66,7 +64,6 @@ func (b *RequestBuffer) Register(c *Cache) int {
 func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
 	b.route(d, line, write, int32(len(b.reqs)))
 	b.reqs = append(b.reqs, request{tag: tag})
-	b.lines++
 }
 
 // Append defers a multi-line access to destination d. Lines are copied into
@@ -79,7 +76,6 @@ func (b *RequestBuffer) Append(d int, lines []uint64, write bool, tag int) {
 		b.route(d, line, write, ri)
 	}
 	b.reqs = append(b.reqs, request{tag: tag})
-	b.lines += len(lines)
 }
 
 // route appends one line of request ri to its bank's bucket of destination
@@ -97,9 +93,6 @@ func (b *RequestBuffer) route(d int, line uint64, write bool, ri int32) {
 // Len returns the number of deferred requests.
 func (b *RequestBuffer) Len() int { return len(b.reqs) }
 
-// Lines returns the number of routed line accesses.
-func (b *RequestBuffer) Lines() int { return b.lines }
-
 // bucket returns the bucket r names.
 func (b *RequestBuffer) bucket(r bucketRef) *[]lineReq {
 	return &b.dests[r.dest].buckets[r.bank]
@@ -114,5 +107,4 @@ func (b *RequestBuffer) Reset() {
 		*bk = (*bk)[:0]
 	}
 	b.dirty = b.dirty[:0]
-	b.lines = 0
 }

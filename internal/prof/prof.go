@@ -21,11 +21,11 @@ type Options struct {
 	// it reflects live memory).
 	MemPath string
 	// BlockPath receives a blocking profile — time goroutines spend
-	// parked on channels, locks and WaitGroups. This is the one that
-	// shows where the parallel timing core's epoch barrier waits.
+	// parked on channels, locks and WaitGroups, e.g. -j job workers
+	// waiting on the engine's scheduler.
 	BlockPath string
 	// MutexPath receives a mutex-contention profile (who made others
-	// wait), e.g. contention on a forked memory view's shared page table.
+	// wait), e.g. contention on the engine's shared instance cache.
 	MutexPath string
 	// BlockRate is the runtime block-profile sampling rate in
 	// nanoseconds-per-sample (0 = 1, every event); only used when

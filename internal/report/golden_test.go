@@ -24,9 +24,9 @@ import (
 //
 // Last epoch: the banked memory system (set-interleaved L2 banks with
 // per-bank ports, per-channel DRAM ports, and the level-wave drain's
-// bank-order replay of L2 victim write-backs) changes shared-cache timing;
-// the full grid of -cu-par x -mem-par settings stays byte-identical within
-// the new model (TestBankedMemoryDeterminism).
+// bank-order replay of L2 victim write-backs) changes shared-cache timing.
+// Deleting the intra-simulation worker pool left every fingerprint below
+// unchanged: the serial two-phase cycle replays the same bank order.
 var goldenFingerprints = map[string]string{
 	"ArrayBW/HSAIL":     "2c86e9d748245cdc3ae5192b1e68f7226d752313e606436fa9dc2f6b23d8821b",
 	"ArrayBW/GCN3":      "315bac5b3ce830cbcb714ec3c114e4575bf757a20cc5b942c255bc03ca9b1ab2",

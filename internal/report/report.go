@@ -457,18 +457,12 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("rather than every exploratory sweep. Even values like 2 detect\n")
 	b.WriteString("disagreement but cannot outvote it (a 1–1 split just re-leases until a\n")
 	b.WriteString("majority exists), so odd K is the economical choice.\n\n")
-	b.WriteString("Three levels of parallelism stack: `-j` runs whole jobs concurrently,\n")
-	b.WriteString("`-cu-par` shards each simulation's compute-unit ticks across goroutines,\n")
-	b.WriteString("and `-mem-par` shards its memory drain's bank waves (statistics are\n")
-	b.WriteString("byte-identical at every setting — README \"Parallel timing\"). The\n")
-	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) are serial: a simulated cycle holds\n")
-	b.WriteString("a few microseconds of host work, less than a per-cycle barrier costs, so\n")
-	b.WriteString("the intra-simulation pool made every measured simulation slower. Raise\n")
-	b.WriteString("`-j` to use more cores — job-level parallelism carries no barrier\n")
-	b.WriteString("overhead. Values above 1 opt into the pool; its two knobs share one set\n")
-	b.WriteString("of workers and never overlap, so a job's peak concurrency is their max,\n")
-	b.WriteString("not their sum. Asking for `min(-j, jobs) x max(-cu-par, -mem-par)`\n")
-	b.WriteString("beyond the core count is honored but warned about.\n\n")
+	b.WriteString("Parallelism lives at one level: `-j` runs whole jobs concurrently, and\n")
+	b.WriteString("each simulation is one serial loop. A simulated cycle holds a few\n")
+	b.WriteString("microseconds of host work, less than a per-cycle barrier across\n")
+	b.WriteString("goroutines costs, so sharding one simulation made every measured run\n")
+	b.WriteString("slower (LULESH scale 8 GCN3: 10.5 s serial, 15.8 s on two workers).\n")
+	b.WriteString("Raise `-j` to use more cores; job-level parallelism carries no barrier.\n\n")
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())
@@ -517,28 +511,26 @@ Measured on a shared Intel Xeon @ 2.70GHz dev machine; run-to-run noise of
 +-30% was observed under load, so treat the speedup, not the absolute
 numbers, as the reproducible quantity.
 
-` + "`BenchmarkSimulatorThroughputParallel`" + ` repeats the measurement with one
-goroutine per compute unit (` + "`-cu-par`" + `, the two-phase parallel timing
-loop), and ` + "`BenchmarkSimulatorThroughputMemParallel`" + ` stacks the banked
-memory drain on top (` + "`-mem-par`" + ` at the full drain width);
-` + "`BenchmarkSimulatorThroughputMemBound`" + `/` + "`...MemBoundParallel`" + ` repeat the
-serial-vs-stacked pair on ArrayBW, the memory-bound streaming workload
-the banked drain targets. Each parallel row's siminsts/s ratio to its
-serial baseline is the intra-simulation speedup. On the hosts measured so
-far (one and two cores) it stayed below 1 — the per-cycle barriers cost
-more than a cycle's work — which is why the serial loop is the default
-and the pool is opt-in.
-The serial rows prepare the workload once, outside the timed loop, so
-they measure simulation alone. ` + "`make bench`" + `
-re-measures all rows and archives the result as BENCH_PR10.json; the CI
-bench-smoke job does the same per commit and additionally gates on
-TestCycleSkippingDeterminism (skip-on vs skip-off fingerprint identity),
-TestParallelTimingDeterminism (every -cu-par setting must fingerprint
-identically to serial), TestBankedMemoryDeterminism (every -cu-par x
--mem-par combination must fingerprint identically to the serial drain)
-and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs/TestDrainSparseFlushNoAllocs
+` + "`BenchmarkSimulatorThroughputMemBound`" + ` repeats the measurement on
+ArrayBW, the memory-bound streaming workload whose cycles carry the most
+drain traffic. Both rows prepare the workload once, outside the timed
+loop, so they measure simulation alone. ` + "`make bench`" + ` re-measures both
+and archives the result as BENCH_PR10.json; the CI bench-smoke job does
+the same per commit and additionally gates on
+TestCycleSkippingDeterminism (skip-on vs skip-off fingerprint identity
+for every suite workload) and
+TestIssueStageNoAllocs/TestDrainRoutingNoAllocs/TestDrainSparseFlushNoAllocs
 (zero allocations in the steady-state two-phase cycle, bank routing and
 sparse drains included).
+
+An earlier version could shard one simulation's compute-unit ticks and
+drain bank waves across a goroutine pool. Output was byte-identical at
+every setting, but on a two-core host the pool never beat the serial
+loop: LULESH scale 8 GCN3 took 10.5 / 8.7 s serial against 15.8 / 13.5 s
+on two workers and 22.0 / 20.1 s on eight; ArrayBW scale 256 took 4.0 /
+4.4 s serial, 4.5 / 4.1 s with a two-worker drain (a tie) and 5.7 / 5.8 s
+with two workers for ticks and drain. The pool was deleted; each cycle
+now ticks every CU, then drains memory.
 `
 
 // autoscalingSection is an operational note for distributed sweeps: the

@@ -69,12 +69,11 @@ type Run struct {
 	FetchStallCycles uint64
 }
 
-// Merge folds a shard's counters into r. The parallel timing core gives
-// each compute unit a private Run so per-CU statistics never contend; at
-// run end the shards merge back into the root in CU-index order. Every
-// field is a sum (or a histogram count union), so the merged totals equal
-// what a single shared Run would have accumulated, regardless of how the
-// work was sharded. Identity fields (Workload, Abstraction) and the root's
+// Merge folds a shard's counters into r. The timing core gives each
+// compute unit a private Run; at run end the shards merge back into the
+// root in CU-index order. Every field is a sum (or a histogram count
+// union), so the merged totals equal what a single shared Run would have
+// accumulated. Identity fields (Workload, Abstraction) and the root's
 // KernelCycles are left untouched; a shard's KernelCycles (always empty in
 // the sharded-timing use) are appended.
 func (r *Run) Merge(o *Run) {

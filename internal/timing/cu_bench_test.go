@@ -145,12 +145,11 @@ func TestDrainRoutingNoAllocs(t *testing.T) {
 	}
 }
 
-// TestIssueStageNoAllocs pins the allocation invariant the parallel timing
-// core inherits from the serial one: once a CU is in steady state, a full
-// two-phase cycle — tick (fetch + issue + execute + retire into the request
-// buffer) plus drain (deferred cache accesses) — allocates nothing. This is
-// exactly the per-worker scratch contract: every buffer involved (order
-// scratch, request buffer, pending metadata) is CU-owned and reused.
+// TestIssueStageNoAllocs pins the timing core's allocation invariant: once
+// a CU is in steady state, a full two-phase cycle — tick (fetch + issue +
+// execute + retire into the request buffer) plus drain (deferred cache
+// accesses) — allocates nothing. Every buffer involved (order scratch,
+// request buffer, pending metadata) is CU-owned and reused.
 func TestIssueStageNoAllocs(t *testing.T) {
 	c := benchCU(8)
 	now := int64(0)

@@ -163,19 +163,18 @@ type GPU struct {
 	// determinism tests assert it); the flag exists for debugging and for
 	// those tests.
 	NoSkip bool
-	// Parallelism is the number of goroutines phase-1 CU ticks shard
-	// across (core.ResolveCUParallelism computes the usual value; <=1
-	// means serial). Results are byte-identical at every setting. Set it
-	// before the first RunDispatch.
+	// Parallelism is ignored: the timing loop is serial.
+	//
+	// Deprecated: kept only because the ilbench module still sets it.
 	Parallelism int
-	// MemParallelism is the number of goroutines the phase-2 drain's bank
-	// waves shard across (core.ResolveMemParallelism computes the usual
-	// value; <=1 means serial). Results are byte-identical at every
-	// setting. Set it before the first RunDispatch.
+	// MemParallelism is ignored: the memory drain is serial.
+	//
+	// Deprecated: kept only because the ilbench module still sets it.
 	MemParallelism int
-	// Mem is the dispatch's functional memory. Parallel runs fork one
-	// view per CU from it so page-table caches and footprint tracking
-	// stay goroutine-private; leaving it nil forces serial ticking.
+	// Mem is ignored: engines read and write the dispatch's functional
+	// memory directly.
+	//
+	// Deprecated: kept only because the ilbench module still sets it.
 	Mem *mem.Memory
 
 	cus  []*cu
@@ -186,18 +185,13 @@ type GPU struct {
 	sCaches []*mem.Cache
 
 	// drain replays the CUs' deferred cache accesses through the banked
-	// hierarchy as level waves (see mem.Drain); taskExec adapts the worker
-	// pool to the drain's executor interface, bound once.
-	drain    *mem.Drain
-	taskExec mem.Executor
+	// hierarchy as level waves (see mem.Drain).
+	drain *mem.Drain
 
 	now int64
 	// wdTick counts cycles toward the next watchdog check; it persists
 	// across dispatches so short kernels cannot starve the watchdog.
 	wdTick int64
-	// pool is the lazily started worker pool shared by phase-1 ticks and
-	// phase-2 bank waves (nil until first needed; Stop shuts it down).
-	pool *pool
 }
 
 // NewGPU builds the device.
@@ -224,8 +218,8 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 		g.cus = append(g.cus, c)
 	}
 	// Wire the drain: level-1 caches in replay order (per-CU L1Ds, then the
-	// shared I- and scalar caches), sources in CU-index order. This order —
-	// not goroutine scheduling — defines each bank's replay sequence.
+	// shared I- and scalar caches), sources in CU-index order. This order
+	// defines each bank's replay sequence.
 	l1s := make([]*mem.Cache, 0, p.NumCUs+2*nShared)
 	srcs := make([]mem.DrainSource, 0, p.NumCUs)
 	for _, c := range g.cus {
@@ -241,60 +235,11 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 // Now returns the current cycle.
 func (g *GPU) Now() int64 { return g.now }
 
-// parallelism returns the effective phase-1 worker count.
-func (g *GPU) parallelism() int {
-	p := g.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > len(g.cus) {
-		p = len(g.cus)
-	}
-	return p
-}
-
-// memParallelism returns the effective phase-2 worker count, capped at the
-// widest bank wave (more workers than banks would idle).
-func (g *GPU) memParallelism() int {
-	p := g.MemParallelism
-	if p < 1 {
-		p = 1
-	}
-	if w := g.drain.MaxWave(); p > w {
-		p = w
-	}
-	return p
-}
-
-// ensurePool starts the worker pool, sized for both phase-1 ticks and
-// phase-2 bank waves, and binds the drain executor once.
-func (g *GPU) ensurePool() {
-	if g.pool != nil {
-		return
-	}
-	g.pool = newPool(g.cus, g.parallelism(), g.memParallelism())
-	if g.taskExec == nil {
-		g.taskExec = func(n int, fn func(int)) { g.pool.runTasks(n, fn, g.memParallelism()) }
-	}
-}
-
-// drainParallelMin is the minimum number of routed line accesses a cycle
-// must have deferred before the drain's bank waves go to the pool: below
-// it, the three epoch barriers cost more than the work they spread.
-// Serial and pooled drains are byte-identical, so this is purely a
-// wall-clock heuristic.
-const drainParallelMin = 64
-
 // drainFlush replays the cycle's deferred cache accesses through the
 // banked hierarchy (see mem.Drain) and clears the CUs' pending-request
 // metadata the completion callbacks indexed into.
 func (g *GPU) drainFlush(now int64) {
-	var exec mem.Executor
-	if g.memParallelism() > 1 && g.drain.Pending() >= drainParallelMin {
-		g.ensurePool()
-		exec = g.taskExec
-	}
-	g.drain.Flush(now, exec)
+	g.drain.Flush(now, nil)
 	for _, c := range g.cus {
 		c.pend = c.pend[:0]
 	}
@@ -322,63 +267,32 @@ func (g *GPU) wdInsts() uint64 {
 	return g.totalInsts()
 }
 
-// populated counts CUs holding at least one wavefront slot.
-func (g *GPU) populated() int {
-	n := 0
-	for _, c := range g.cus {
-		if len(c.waves) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // prepareEngines binds each CU's execution engine for the coming dispatch.
-// Forkable engines get one clone per CU feeding that CU's stat shard, so
-// collector sampling state (an order-dependent counter) advances per-CU and
-// results stop depending on the host parallelism level. Memory views are
-// forked only when the dispatch may actually tick in parallel: a view routes
-// page lookups through the shared page-table lock, an overhead serial runs
-// need not pay. The return value reports whether parallel phase-1 ticking is
-// allowed (it never is for non-forkable engines or kernels with shared
-// atomics, whose semantics require the serial interleaving).
-func (g *GPU) prepareEngines(eng emu.Engine) bool {
+// Forkable engines get one clone per CU, forked in CU-index order, feeding
+// that CU's stat shard, so collector sampling state (an order-dependent
+// counter) advances per CU.
+func (g *GPU) prepareEngines(eng emu.Engine) {
 	fk, ok := eng.(emu.Forker)
-	if !ok {
-		for _, c := range g.cus {
+	for _, c := range g.cus {
+		if ok {
+			c.eng = fk.Fork(c.run, nil)
+		} else {
 			c.eng = eng
 		}
-		return false
 	}
-	par := g.parallelism() > 1 && g.Mem != nil && !fk.SharedAtomics()
-	for _, c := range g.cus {
-		var mv *mem.Memory
-		if par {
-			if c.mview == nil {
-				c.mview = g.Mem.Fork()
-			}
-			mv = c.mview
-		}
-		c.eng = fk.Fork(c.run, mv)
-	}
-	return par
 }
 
 // RunDispatch executes one dispatch to completion on the timed model and
 // returns the cycles it took.
 //
-// Each cycle is two phases. Phase 1 ticks every CU — fetch scheduling,
-// issue, functional execution — touching only that CU's private state and
-// routing deferred shared-cache accesses into per-bank buckets of its
-// request buffer; with Parallelism > 1 the ticks shard across the worker
-// pool. Phase 2 drains the buckets as bank waves (L1 level, then L2 banks,
-// then DRAM channels — see mem.Drain): each bank replays its requests in
-// (CU index, append order), so its port/LRU/counter state evolves
-// identically whether the waves run serially or across MemParallelism
-// workers. Then the per-CU skip bounds are reduced. Shared state therefore
-// evolves byte-identically at every (Parallelism, MemParallelism) setting,
-// which TestParallelTimingDeterminism and TestBankedMemoryDeterminism
-// assert via run fingerprints.
+// Each cycle is two phases. Phase 1 ticks every CU in index order — fetch
+// scheduling, issue, functional execution — touching only that CU's
+// private state and routing deferred shared-cache accesses into per-bank
+// buckets of its request buffer. Phase 2 drains the buckets as bank waves
+// (L1 level, then L2 banks, then DRAM channels — see mem.Drain): each bank
+// replays its requests in (CU index, append order). Then the per-CU skip
+// bounds are reduced; fill completions lower them, so this comes after the
+// drain.
 func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	watched := g.WD.enabled()
 	if watched {
@@ -389,7 +303,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	start := g.now
 	g.now += g.P.LaunchOverhead
 
-	parallel := g.prepareEngines(eng)
+	g.prepareEngines(eng)
 
 	// Occupancy: waves per CU limited by WF slots and register files.
 	vregs, sregs := eng.RegDemand()
@@ -440,34 +354,20 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		idle := true
 		nextEvent := noEvent
 		stallers := int64(0)
-		// Phase 1: tick CUs against private state. The pool path and the
-		// inline path run the same per-CU code; the pool only pays off when
-		// at least two CUs hold waves (drain tails often leave one).
-		if parallel && g.populated() > 1 {
-			g.ensurePool()
-			g.pool.run(g.now)
-		} else {
-			for _, c := range g.cus {
-				c.finWGs, c.tickErr = c.tick(g.now)
-			}
-		}
-		// Phase 2. Surface the lowest-index CU's error first (the serial
-		// loop would have hit it first), then drain the deferred cache
-		// accesses: requests were routed to their destination banks during
-		// phase 1, so the drain replays bank waves — concurrently when
-		// MemParallelism > 1 and enough work is pending, byte-identically
-		// either way. The skip-bound reduction comes after the drain,
-		// because fill completions lower the bounds.
+		// Phase 1: tick CUs against private state; the lowest-index CU's
+		// error wins.
 		for _, c := range g.cus {
-			if c.tickErr != nil {
-				return 0, c.tickErr
+			finished, err := c.tick(g.now)
+			if err != nil {
+				return 0, err
 			}
-			active -= c.finWGs
+			active -= finished
 			if c.active {
 				idle = false
 			}
 			stallers += int64(c.stallers)
 		}
+		// Phase 2: replay the deferred cache accesses bank by bank.
 		g.drainFlush(g.now)
 		for _, c := range g.cus {
 			if c.nextEvent < nextEvent {
@@ -519,16 +419,6 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			}
 		}
 	}
-	// Fold forked footprint views back into the root memory so
-	// between-dispatch footprint reads and policy toggles on the root see
-	// everything this dispatch touched.
-	if g.Mem != nil {
-		for _, c := range g.cus {
-			if c.mview != nil {
-				g.Mem.AbsorbFootprint(c.mview)
-			}
-		}
-	}
 	return g.now - start, nil
 }
 
@@ -571,14 +461,10 @@ func (g *GPU) Finalize() {
 	}
 }
 
-// Stop shuts down the phase-1 worker pool if one was started. The GPU stays
-// usable; a later parallel dispatch starts a fresh pool.
-func (g *GPU) Stop() {
-	if g.pool != nil {
-		g.pool.stop()
-		g.pool = nil
-	}
-}
+// Stop does nothing: the GPU starts no goroutines.
+//
+// Deprecated: kept only because the ilbench module still calls it.
+func (g *GPU) Stop() {}
 
 func min3(a, b, c int) int {
 	if b < a {
