@@ -1,10 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
 # the packages that start goroutines under the race detector: the
-# experiment engine's -j workers with its determinism tests, the full
-# distributed suite (bundled leases, mid-bundle reassignment, TLS/token
-# auth, quorum voting, chaos fault injection, fleet supervision), so
-# coordinator and worker locking is exercised under contention on every
-# run, and the memory drain's concurrent-executor invariance test. The
+# experiment engine's -j workers with its determinism tests, the
+# distributed suite (bundled leases, mid-bundle reassignment, graceful
+# drains, TLS/token auth, coordinator shutdown), so coordinator and worker
+# locking is exercised under contention on every run, and the memory
+# drain's concurrent-executor invariance test. The
 # simulation itself (core, timing, stats) is one serial loop; it stays in
 # the list because the engines above drive it from many goroutines.
 # `make fuzz` gives the wire codec a short coverage-guided beating.
@@ -31,9 +31,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
-		./internal/fleet/... ./internal/core/... ./internal/timing/... \
-		./internal/mem/... ./internal/stats/... ./cmd/...
+	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/core/... \
+		./internal/timing/... ./internal/mem/... ./internal/stats/... ./cmd/...
 
 # fuzz runs the journal/distributed-result codec fuzzer for a bounded time
 # (FUZZTIME to taste); CI runs the same thing for 10s on every push.

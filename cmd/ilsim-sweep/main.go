@@ -17,21 +17,10 @@
 // observed throughput (-bundle tunes the per-lease work target), the
 // endpoints optionally require TLS (-tls-cert/-tls-key), client
 // certificates (-tls-client-ca, mutual TLS) and a shared token (-token),
-// and -watch prints a status snapshot — queue depth, per-worker
-// throughput, health/quarantine state, fleet labels and the WantWorkers
-// autoscaling hint — from a running coordinator (one-shot, or redrawn
-// continuously with -interval, where a sparkline tracks recent fleet
-// throughput). -allow-cn pins the client-certificate CommonNames a
-// mutual-TLS coordinator admits; anything else is refused with 403 and
-// counted in the status. -fleet N self-supervises a local in-process
-// worker fleet that grows and shrinks with the coordinator's autoscaling
-// hint — the one-process taste of what ilsim-fleetd does with real
-// worker processes.
-//
-// Untrusted fleets replicate: -replicas K leases every job to K distinct
-// workers and accepts only the majority result (votes are stats.Run
-// fingerprints); dissenting workers are scored and quarantined. Journals
-// grow one line per result plus vote audit records; -journal-compact
+// and -watch prints a status snapshot — queue depth and per-worker
+// throughput — from a running coordinator (one-shot, or redrawn
+// continuously with -interval, where a sparkline tracks recent
+// throughput). Journals grow one line per result; -journal-compact
 // rewrites one in place keeping only the latest entry per job.
 //
 // Usage:
@@ -46,8 +35,6 @@
 //	ilsim-sweep -param banks -journal s.jsonl -resume   # continue after a kill
 //	ilsim-sweep -param banks -serve :9666         # coordinate remote workers
 //	ilsim-sweep -param banks -serve :9666 -bundle 5s -token s3cret
-//	ilsim-sweep -param banks -serve :9666 -replicas 3   # quorum over untrusted workers
-//	ilsim-sweep -param banks -serve :9666 -fleet 4      # self-supervised local fleet
 //	ilsim-sweep -connect host:9666 -j 4           # execute leases from a coordinator
 //	ilsim-sweep -watch host:9666                  # one-shot campaign status
 //	ilsim-sweep -watch host:9666 -interval 2s     # live status board
@@ -68,7 +55,6 @@ import (
 	"ilsim/internal/core"
 	"ilsim/internal/dist"
 	"ilsim/internal/exp"
-	"ilsim/internal/fleet"
 	"ilsim/internal/prof"
 )
 
@@ -99,13 +85,9 @@ func run(args []string, out, errw io.Writer) error {
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
 	connect := fs.String("connect", "", "run as a worker executing leases from the coordinator at this address")
-	watch := fs.String("watch", "", "print a status snapshot (autoscaling and health included) from the coordinator at this address, then exit")
+	watch := fs.String("watch", "", "print a status snapshot from the coordinator at this address, then exit")
 	interval := fs.Duration("interval", 0, "with -watch: redraw the status continuously at this period instead of one snapshot")
-	replicas := fs.Int("replicas", 1, "with -serve: lease every job to this many distinct workers and accept the majority result (quorum over untrusted workers)")
-	fleetN := fs.Int("fleet", 0, "with -serve: self-supervise an in-process fleet of up to N single-slot workers that tracks the autoscaling hint (0 = off)")
-	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
-	scaleHorizon := fs.Duration("scale-horizon", 0, "with -serve: drain window the WantWorkers autoscaling hint aims for (0 = default 1m)")
-	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and vote records), then exit")
+	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and old vote records), then exit")
 	bundle := fs.Duration("bundle", dist.DefaultBundleTarget, "target work per lease: bundles are sized to this much estimated runtime (with -serve; 0 disables bundling). With -connect, caps this worker's bundles")
 	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -connect/-watch")
 	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -connect: present it as this worker's client certificate (mutual TLS)")
@@ -168,8 +150,8 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	if *watch != "" {
-		// Status mode: a snapshot for operators and autoscaling scripts —
-		// one-shot by default, a live board with -interval.
+		// Status mode: a snapshot for operators and scripts — one-shot by
+		// default, a live board with -interval.
 		return watchStatus(*watch, clientOpts, *interval, out)
 	}
 
@@ -233,24 +215,13 @@ func run(args []string, out, errw io.Writer) error {
 		if bundleTarget <= 0 {
 			bundleTarget = -1 // 0 on the flag means "no bundling", not "default"
 		}
-		var allowedCNs []string
-		if *allowCN != "" {
-			for _, cn := range strings.Split(*allowCN, ",") {
-				if cn = strings.TrimSpace(cn); cn != "" {
-					allowedCNs = append(allowedCNs, cn)
-				}
-			}
-		}
 		c := dist.NewCoordinator(dist.Options{
 			Addr:         *serve,
 			BundleTarget: bundleTarget,
-			ScaleHorizon: *scaleHorizon,
-			Replicas:     *replicas,
 			AuthToken:    *token,
 			TLSCert:      *tlsCert,
 			TLSKey:       *tlsKey,
 			TLSClientCA:  *tlsClientCA,
-			AllowedCNs:   allowedCNs,
 			Journal:      journal,
 			OnProgress:   onProgress,
 			Logf:         func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) },
@@ -262,18 +233,8 @@ func run(args []string, out, errw io.Writer) error {
 		defer c.Close()
 		fmt.Fprintf(errw, "coordinating %d jobs on %s — attach workers with: ilsim-workerd -connect %s\n",
 			len(jobs), c.Addr(), c.Addr())
-		if *fleetN > 0 {
-			wait, err := startLocalFleet(c.Addr(), *fleetN, *retries, *token, *tlsCert != "", *tlsClientCA != "", *verbose, errw)
-			if err != nil {
-				return err
-			}
-			defer wait()
-		}
 		runner = c
 	} else {
-		if *fleetN > 0 {
-			return errors.New("-fleet requires -serve (it supervises workers for a coordinator)")
-		}
 		eng := exp.New(*workers)
 		if *failFast {
 			eng.Mode = exp.FailFast
@@ -323,75 +284,20 @@ func run(args []string, out, errw io.Writer) error {
 	return nil
 }
 
-// startLocalFleet runs a fleet.Supervisor with in-process workers
-// against the coordinator at addr — the -fleet N convenience. The
-// returned wait function blocks until the supervisor winds down after
-// the campaign (bounded; stragglers are killed), so the process never
-// exits with workers mid-flight.
-func startLocalFleet(addr string, n, retries int, token string, tlsServe, mutualTLS, verbose bool, errw io.Writer) (wait func(), err error) {
-	if mutualTLS {
-		// Embedded workers have no client certificates to present; a
-		// mutual-TLS coordinator would refuse every one of them.
-		return nil, errors.New("-fleet cannot serve a mutual-TLS coordinator (-tls-client-ca); run ilsim-fleetd with worker certificates instead")
-	}
-	client := dist.ClientOptions{AuthToken: token}
-	if tlsServe {
-		// Dialing our own in-process listener: encrypted, and trust is
-		// moot — it is this very process.
-		client.TLSSkipVerify = true
-	}
-	var logf func(format string, args ...any)
-	if verbose {
-		logf = func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) }
-	}
-	sup := &fleet.Supervisor{
-		Coordinator: addr,
-		Client:      client,
-		Fleet:       "local",
-		Launcher: &fleet.LocalLauncher{
-			Client: client,
-			Slots:  1,
-			NewEngine: func() *exp.Engine {
-				eng := exp.New(1)
-				eng.Retry = exp.RetryPolicy{MaxRetries: retries}
-				return eng
-			},
-			Logf: logf,
-		},
-		// Snappier than the daemon's defaults: a self-supervised local
-		// fleet answers to a human watching one terminal.
-		Policy:     fleet.Policy{Min: 1, Max: n, UpCooldown: time.Second, DownCooldown: 5 * time.Second},
-		Poll:       500 * time.Millisecond,
-		DrainGrace: 10 * time.Second,
-		Logf:       logf,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-	fmt.Fprintf(errw, "fleet: self-supervising up to %d local workers\n", n)
-	wait = func() {
-		defer cancel()
-		select {
-		case err := <-done:
-			if err != nil && !errors.Is(err, context.Canceled) {
-				fmt.Fprintf(errw, "fleet: %v\n", err)
-			}
-		case <-time.After(30 * time.Second):
-			cancel()
-			<-done
-		}
-	}
-	return wait, nil
-}
+// watchMaxMisses is how many consecutive failed polls after first contact
+// end a live watch: the coordinator is gone — crashed, or finished and
+// shut down.
+const watchMaxMisses = 5
 
 // watchStatus renders coordinator status to out: one snapshot when
 // interval is zero, otherwise a continuously redrawn board — clearing
 // the screen between frames when out is a TTY, plain appended frames
-// otherwise (pipes, logs). The retry/give-up policy is the shared
-// dist.StatusTracker: startup noise is tolerated, rejected credentials
-// abort immediately, and a coordinator that stays gone after first
-// contact ends the watch. Each live frame appends a sparkline of the
-// fleet's recent throughput from a client-side ring of samples.
+// otherwise (pipes, logs). A live watch tolerates failures until its
+// first successful poll (the endpoint answers 503 until the campaign
+// installs), stops at once on refused credentials, and stops after
+// watchMaxMisses consecutive failures once connected. Each live frame
+// appends a sparkline of recent throughput from a client-side ring of
+// samples.
 func watchStatus(addr string, co dist.ClientOptions, interval time.Duration, out io.Writer) error {
 	ctx := context.Background()
 	if interval <= 0 {
@@ -403,12 +309,19 @@ func watchStatus(addr string, co dist.ClientOptions, interval time.Duration, out
 		return nil
 	}
 	clearScreen := isTTY(out)
-	var tracker dist.StatusTracker
+	connected, misses := false, 0
 	spark := &sparkline{}
 	for {
 		st, err := dist.FetchStatus(ctx, addr, co)
-		if terr := tracker.Observe(err); terr != nil {
-			return fmt.Errorf("watch %s: %w", addr, terr)
+		switch {
+		case err == nil:
+			connected, misses = true, 0
+		case dist.IsFatal(err):
+			return fmt.Errorf("watch %s: %w", addr, err)
+		case connected:
+			if misses++; misses >= watchMaxMisses {
+				return fmt.Errorf("watch %s: coordinator gone after %d consecutive status failures: %w", addr, misses, err)
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(out, "watch %s: %v\n", addr, err)
@@ -438,7 +351,7 @@ const sparklineWindow = 32
 
 // sparkline folds successive Status samples into an observed-throughput
 // history: each pair of samples yields (done delta)/(time delta), the
-// fleet's actual completion rate over that interval — measured, not the
+// campaign's actual completion rate over that interval — measured, not the
 // per-worker EWMA estimates the coordinator publishes.
 type sparkline struct {
 	rates    []float64

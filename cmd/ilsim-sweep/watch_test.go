@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,8 +44,8 @@ func startServe(t *testing.T, args []string, out *bytes.Buffer, errw *syncBuffer
 
 // TestSweepWatchAndToken drives the hardened CLI path end to end: a
 // coordinator started with -token and -bundle, a -watch snapshot that
-// must authenticate and must carry the autoscaling fields, and a worker
-// that needs the token to drain the campaign.
+// must authenticate and must carry the queue counters, and a worker that
+// needs the token to drain the campaign.
 func TestSweepWatchAndToken(t *testing.T) {
 	sweep := []string{"-param", "banks", "-workload", "ArrayBW", "-points", "2",
 		"-serve", "127.0.0.1:0", "-token", "s3cret", "-bundle", "5s"}
@@ -97,39 +101,6 @@ func TestSweepWatchAndToken(t *testing.T) {
 	}
 }
 
-// TestSweepServeReplicas drives the quorum flag end to end: with
-// -replicas 2 every job needs matching ballots from two distinct workers
-// before it is accepted, so the campaign only completes once both CLI
-// workers have executed the whole job set — and the sweep table still
-// prints normally.
-func TestSweepServeReplicas(t *testing.T) {
-	sweep := []string{"-param", "banks", "-workload", "ArrayBW", "-points", "2",
-		"-serve", "127.0.0.1:0", "-replicas", "2"}
-	var serveOut bytes.Buffer
-	serveErr := &syncBuffer{}
-	addr, serveDone := startServe(t, sweep, &serveOut, serveErr)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var wOut bytes.Buffer
-			wErr := &syncBuffer{}
-			if err := run([]string{"-connect", addr, "-j", "2"}, &wOut, wErr); err != nil {
-				t.Errorf("replica worker: %v\nstderr: %s", err, wErr.String())
-			}
-		}()
-	}
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve run: %v\nstderr: %s", err, serveErr.String())
-	}
-	wg.Wait()
-	if !strings.Contains(serveOut.String(), "sweep banks") {
-		t.Fatalf("coordinator produced no sweep table:\n%s", serveOut.String())
-	}
-}
-
 // TestSweepWatchInterval drives -watch -interval against an in-process
 // coordinator: the loop redraws until the status reports the campaign
 // finished, then exits nil on its own. The sink is a plain buffer, not a
@@ -175,6 +146,52 @@ func TestSweepWatchInterval(t *testing.T) {
 	}
 	if strings.Contains(frames, "\x1b[") {
 		t.Fatalf("ANSI escape written to a non-TTY sink:\n%q", frames)
+	}
+}
+
+// TestSweepWatchGiveUp pins the live watch's retry policy against a
+// scripted status endpoint: failures before first contact are startup
+// noise, a refused token ends the watch at once, and after first contact
+// watchMaxMisses consecutive failures end it while any success resets the
+// count.
+func TestSweepWatchGiveUp(t *testing.T) {
+	script := func(codes ...int) (*httptest.Server, *atomic.Int32) {
+		var polls atomic.Int32
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := int(polls.Add(1)) - 1
+			code := codes[len(codes)-1]
+			if n < len(codes) {
+				code = codes[n]
+			}
+			w.WriteHeader(code)
+			if code == http.StatusOK {
+				fmt.Fprint(w, `{"total": 4}`)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts, &polls
+	}
+	const ok, notReady, boom = http.StatusOK, http.StatusServiceUnavailable, http.StatusInternalServerError
+
+	// Three 503s before contact, then a connection, two misses, a
+	// success that resets the budget, and failures until it runs out.
+	ts, polls := script(notReady, notReady, notReady, ok, boom, boom, ok, boom)
+	var out, errw bytes.Buffer
+	err := run([]string{"-watch", ts.URL, "-interval", "1ms"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "coordinator gone after 5") {
+		t.Fatalf("watch over a vanished coordinator: %v", err)
+	}
+	if got, want := int(polls.Load()), 7+watchMaxMisses; got != want {
+		t.Fatalf("watch polled %d times, want %d", got, want)
+	}
+
+	// A refused token is fatal on the first poll, contact or not.
+	ts, polls = script(http.StatusUnauthorized)
+	if err := run([]string{"-watch", ts.URL, "-interval", "1ms"}, &out, &errw); err == nil || !strings.Contains(err.Error(), "401") {
+		t.Fatalf("watch with a refused token: %v", err)
+	}
+	if n := polls.Load(); n != 1 {
+		t.Fatalf("refused watch polled %d times, want 1", n)
 	}
 }
 

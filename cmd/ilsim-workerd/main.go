@@ -16,24 +16,13 @@
 // hardened coordinators, -token sends the shared auth token,
 // -tls-ca/-tls-insecure dial https, and -tls-cert/-tls-key present this
 // worker's client certificate to a mutual-TLS coordinator. -status-poll
-// logs the coordinator's campaign status — queue depth, fleet throughput,
-// the WantWorkers autoscaling hint — at a fixed interval, giving
-// supervisor scripts a scrapeable scaling signal. -fleet labels the
-// worker as supervisor-managed (ilsim-fleetd sets it on the workers it
-// launches); the label shows up in the coordinator's status table and
-// steers scale-down victim selection.
+// logs the coordinator's campaign status — queue depth, lease backlog,
+// live workers and slots — at a fixed interval.
 //
 // The first SIGINT/SIGTERM drains gracefully: in-flight jobs finish and
 // report, the unstarted remainder of the current bundle is released back
 // to the coordinator, and the process exits 0. A second signal aborts
 // hard — work in flight cancels and held leases lapse via their TTL.
-//
-// -chaos injects deterministic, seeded network faults (drops, delays,
-// duplicates, corrupted and truncated responses, timed partitions) into
-// this worker's coordinator connection — a development harness for
-// rehearsing the retry, integrity-hash and re-lease machinery against a
-// reproducible hostile network. See package ilsim/internal/chaos for the
-// spec syntax.
 //
 // Usage:
 //
@@ -43,7 +32,6 @@
 //	ilsim-workerd -connect host:9666 -bundle 2s -status-poll 10s
 //	ilsim-workerd -connect host:9666 -token s3cret -tls-ca coord.pem
 //	ilsim-workerd -connect host:9666 -tls-ca ca.pem -tls-cert w.pem -tls-key w.key
-//	ilsim-workerd -connect host:9666 -chaos 'seed=7,drop=0.05,delay=20ms:0.2'
 package main
 
 import (
@@ -61,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"ilsim/internal/chaos"
 	"ilsim/internal/dist"
 	"ilsim/internal/exp"
 )
@@ -80,7 +67,6 @@ func run(args []string, out, errw io.Writer) error {
 	fs.SetOutput(errw)
 	connect := fs.String("connect", "", "coordinator address (host:port; required)")
 	name := fs.String("name", "", "worker name in leases and logs (default hostname-pid)")
-	fleetLabel := fs.String("fleet", "", "fleet label announced at join (set by ilsim-fleetd; empty = hand-launched)")
 	slots := fs.Int("j", 0, "concurrent execution slots (0 = GOMAXPROCS)")
 	retries := fs.Int("retries", 0, "local retries per transiently failing job")
 	window := fs.Duration("window", 2*time.Minute, "how long to retry an unreachable coordinator before giving up")
@@ -90,8 +76,7 @@ func run(args []string, out, errw io.Writer) error {
 	tlsInsecure := fs.Bool("tls-insecure", false, "dial https without verifying the coordinator certificate (lab use only)")
 	tlsCert := fs.String("tls-cert", "", "present this PEM certificate as the worker's client certificate (mutual TLS; needs -tls-key)")
 	tlsKey := fs.String("tls-key", "", "private key for -tls-cert")
-	chaosSpec := fs.String("chaos", "", "inject deterministic seeded network faults into the coordinator connection, e.g. 'seed=7,drop=0.05,corrupt=0.02,delay=20ms:0.2' (dev/test harness)")
-	statusPoll := fs.Duration("status-poll", 0, "log the coordinator's campaign status (queue depth, throughput, WantWorkers hint) to stderr at this interval (0 = off)")
+	statusPoll := fs.Duration("status-poll", 0, "log the coordinator's campaign status (queue depth, lease backlog, workers) to stderr at this interval (0 = off)")
 	verbose := fs.Bool("v", false, "log lifecycle events to stderr")
 	debugAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
@@ -120,25 +105,11 @@ func run(args []string, out, errw io.Writer) error {
 		TLSCert:       *tlsCert,
 		TLSKey:        *tlsKey,
 	}
-	var chaosT *chaos.Transport
-	if *chaosSpec != "" {
-		plan, err := chaos.ParsePlan(*chaosSpec)
-		if err != nil {
-			return err
-		}
-		clientOpts.Wrap = func(inner http.RoundTripper) http.RoundTripper {
-			t := plan.Transport(inner)
-			chaosT = t
-			return t
-		}
-		fmt.Fprintf(errw, "chaos: injecting faults (%s)\n", *chaosSpec)
-	}
 	eng := exp.New(0)
 	eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
 	w := &dist.Worker{
 		Coordinator:  *connect,
 		Name:         *name,
-		Fleet:        *fleetLabel,
 		Slots:        *slots,
 		Engine:       eng,
 		BundleTarget: *bundle,
@@ -178,8 +149,7 @@ func run(args []string, out, errw io.Writer) error {
 	stopPoll := func() {}
 	if *statusPoll > 0 {
 		// The poller shares the worker's credentials, so a hardened
-		// coordinator feeds the same autoscaling signal as an open one. It
-		// is stopped (and waited for) before the exit report so the two
+		// coordinator reports to it like an open one. It is stopped (and waited for) before the exit report so the two
 		// never interleave on the log stream.
 		pollStop := make(chan struct{})
 		pollDone := make(chan struct{})
@@ -218,11 +188,6 @@ func run(args []string, out, errw io.Writer) error {
 		if st, err := dist.FetchStatus(ctx, *connect, clientOpts); err == nil {
 			fmt.Fprintln(errw, st.Summary())
 		}
-	}
-	if chaosT != nil {
-		s := chaosT.Stats()
-		fmt.Fprintf(errw, "chaos: %d requests: %d dropped, %d delayed, %d duplicated, %d truncated, %d corrupted, %d partitioned\n",
-			s.Requests, s.Drops, s.Delays, s.Dups, s.Truncates, s.Corrupts, s.Partitioned)
 	}
 	if w.Draining() {
 		fmt.Fprintln(out, "drained")

@@ -223,7 +223,7 @@ func writeClientCert(t *testing.T, cn string) (certPath, keyPath string) {
 // against the worker in the status feed.
 func TestMutualTLSCampaign(t *testing.T) {
 	serverCert, serverKey := writeSelfSignedCert(t)
-	clientCert, clientKey := writeClientCert(t, "trusted-fleet-worker")
+	clientCert, clientKey := writeClientCert(t, "trusted-worker")
 	jobs := testJobs(t, 2)
 	want := localFingerprints(t, jobs)
 	ctx := context.Background()
@@ -263,109 +263,16 @@ func TestMutualTLSCampaign(t *testing.T) {
 	for _, ws := range st.PerWorker {
 		if ws.Name == "mtls-worker" {
 			found = true
-			if ws.CN != "trusted-fleet-worker" {
-				t.Fatalf("worker CN = %q, want trusted-fleet-worker", ws.CN)
+			if ws.CN != "trusted-worker" {
+				t.Fatalf("worker CN = %q, want trusted-worker", ws.CN)
 			}
 		}
 	}
 	if !found {
 		t.Fatal("mtls-worker missing from status")
 	}
-	if !strings.Contains(st.Table(), "trusted-fleet-worker") {
+	if !strings.Contains(st.Table(), "trusted-worker") {
 		t.Fatalf("status table does not show the certificate CN:\n%s", st.Table())
-	}
-}
-
-// TestCertificateACL pins the set of client-certificate CNs admitted
-// past mutual TLS: a verified certificate whose CN is in the allowed set
-// completes the campaign, one outside it is refused with 403 — fatally,
-// no retry loop — and the refusals are counted in the status feed.
-func TestCertificateACL(t *testing.T) {
-	serverCert, serverKey := writeSelfSignedCert(t)
-	goodCert, goodKey := writeClientCert(t, "blessed-worker")
-	evilCert, evilKey := writeClientCert(t, "rogue-worker")
-
-	// Both certificates verify against the client CA bundle (each is its
-	// own CA; the bundle holds both), so only the ACL separates them —
-	// exactly the threat it exists for.
-	caBundle := filepath.Join(t.TempDir(), "clients-ca.pem")
-	good, err := os.ReadFile(goodCert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evil, err := os.ReadFile(evilCert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(caBundle, append(good, evil...), 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	jobs := testJobs(t, 2)
-	want := localFingerprints(t, jobs)
-	ctx := context.Background()
-	c, out := startCampaign(t, ctx, Options{
-		TLSCert:     serverCert,
-		TLSKey:      serverKey,
-		TLSClientCA: caBundle,
-		AllowedCNs:  []string{"blessed-worker"},
-		LongPoll:    100 * time.Millisecond,
-		Logf:        t.Logf,
-	}, jobs)
-
-	// The rogue certificate passes mutual TLS but not the ACL: 403,
-	// fatal at the join handshake.
-	rogue := &Worker{Coordinator: c.Addr(), Name: "rogue",
-		Client:      ClientOptions{TLSCACert: serverCert, TLSCert: evilCert, TLSKey: evilKey},
-		RetryWindow: 30 * time.Second}
-	start := time.Now()
-	if err := rogue.Run(ctx); err == nil || !strings.Contains(err.Error(), "403") {
-		t.Fatalf("rogue-CN worker: %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("rogue-CN worker burned %s retrying an unfixable 403", time.Since(start))
-	}
-
-	// Its status fetches are refused too, with the typed Denied kind the
-	// shared give-up policy aborts on.
-	_, serr := FetchStatus(ctx, c.Addr(), ClientOptions{TLSCACert: serverCert, TLSCert: evilCert, TLSKey: evilKey})
-	if kind, ok := StatusKindOf(serr); !ok || kind != StatusDenied {
-		t.Fatalf("rogue-CN status fetch: kind %v (typed %v), err %v", kind, ok, serr)
-	}
-
-	co := ClientOptions{TLSCACert: serverCert, TLSCert: goodCert, TLSKey: goodKey}
-	w := &Worker{Coordinator: c.Addr(), Name: "blessed", Slots: 2, Client: co}
-	if err := w.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	oc := <-out
-	if oc.err != nil {
-		t.Fatal(oc.err)
-	}
-	checkFingerprints(t, oc.results, want)
-
-	// The refusals were counted: one join attempt plus one status fetch.
-	st, err := FetchStatus(ctx, c.Addr(), co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RejectedCNs < 2 {
-		t.Fatalf("status.RejectedCNs = %d, want >= 2", st.RejectedCNs)
-	}
-	if !strings.Contains(st.Summary(), "CN-rejected") {
-		t.Fatalf("summary does not surface CN rejections: %s", st.Summary())
-	}
-}
-
-// TestCertificateACLRequiresMutualTLS: AllowedCNs without a client CA
-// would pin nothing; Start refuses the configuration.
-func TestCertificateACLRequiresMutualTLS(t *testing.T) {
-	serverCert, serverKey := writeSelfSignedCert(t)
-	c := NewCoordinator(Options{Addr: "127.0.0.1:0",
-		TLSCert: serverCert, TLSKey: serverKey, AllowedCNs: []string{"anyone"}})
-	if err := c.Start(); err == nil {
-		c.Close()
-		t.Fatal("Start accepted AllowedCNs without TLSClientCA")
 	}
 }
 

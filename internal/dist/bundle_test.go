@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -155,7 +156,7 @@ func TestMidBundleWorkerKill(t *testing.T) {
 	cp := waitCampaign(t, c)
 	for {
 		cp.mu.Lock()
-		_, byDoomed := cp.leases[2]["doomed"]
+		byDoomed := cp.leases[2].worker == "doomed"
 		cp.mu.Unlock()
 		if byDoomed {
 			break
@@ -283,22 +284,26 @@ func TestBundledCoordinatorKillResume(t *testing.T) {
 	}
 }
 
-// TestStaleProtocolV1Refused pins the version bump: a worker speaking the
-// pre-bundling protocol (version 1) is refused at join with 409 and the
-// campaign still completes on a current worker.
+// TestStaleProtocolV1Refused pins the version bumps: workers speaking an
+// older protocol — version 1 (pre-bundling) or version 4 (quorum, fleet
+// labels and coordinator-mediated drains) — are refused at join with 409,
+// and the campaign still completes on a current worker.
 func TestStaleProtocolV1Refused(t *testing.T) {
 	jobs := testJobs(t, 1)
 	ctx := context.Background()
 	c, out := startCampaign(t, ctx, Options{}, jobs)
+	waitCampaign(t, c) // joins answer 503 until the campaign is installed
 
-	body, _ := json.Marshal(joinRequest{Version: 1, Worker: "v1-relic"})
-	resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("v1 join got %d, want %d", resp.StatusCode, http.StatusConflict)
+	for _, version := range []int{1, 4} {
+		body, _ := json.Marshal(joinRequest{Version: version, Worker: fmt.Sprintf("v%d-relic", version)})
+		resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("v%d join got %d, want %d", version, resp.StatusCode, http.StatusConflict)
+		}
 	}
 
 	w := &Worker{Coordinator: c.Addr(), Name: "current"}
@@ -306,20 +311,18 @@ func TestStaleProtocolV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if oc := <-out; oc.err != nil || oc.metrics.Failed != 0 {
-		t.Fatalf("campaign after refused v1 join: %+v, %v", oc.metrics, oc.err)
+		t.Fatalf("campaign after refused stale joins: %+v, %v", oc.metrics, oc.err)
 	}
 }
 
-// TestStatusAutoscaling drives a campaign's counters by hand and checks
-// the /status snapshot exposes the autoscaling signals: queue depth,
-// lease backlog, per-worker throughput, and a WantWorkers hint scaled to
-// the configured horizon.
-func TestStatusAutoscaling(t *testing.T) {
+// TestStatusSnapshot drives a campaign's counters by hand and checks the
+// /status snapshot: queue depth, lease backlog, live slots, per-worker
+// throughput and the active-job label.
+func TestStatusSnapshot(t *testing.T) {
 	jobs := testJobs(t, 4) // 4 sweep points, 8 jobs
 	cp := newCampaign(jobs, Options{
 		LeaseTTL:     DefaultLeaseTTL,
 		BundleTarget: DefaultBundleTarget,
-		ScaleHorizon: 10 * time.Second,
 		Logf:         func(string, ...any) {},
 	})
 	now := time.Now()
@@ -341,11 +344,7 @@ func TestStatusAutoscaling(t *testing.T) {
 		t.Fatalf("queue depth %d / backlog %d, want 4 / 2", s.Pending, s.Leased)
 	}
 	if s.Slots != 2 || s.Workers != 1 {
-		t.Fatalf("fleet: %d workers / %d slots, want 1 / 2", s.Workers, s.Slots)
-	}
-	// 6 remaining jobs at 5s each into a 10s horizon needs 3 slots.
-	if s.WantWorkers != 3 {
-		t.Fatalf("WantWorkers = %d, want 3", s.WantWorkers)
+		t.Fatalf("capacity: %d workers / %d slots, want 1 / 2", s.Workers, s.Slots)
 	}
 	if len(s.PerWorker) != 1 || s.PerWorker[0].Held != 2 || s.PerWorker[0].Done != 2 {
 		t.Fatalf("per-worker rows: %+v", s.PerWorker)
@@ -358,23 +357,23 @@ func TestStatusAutoscaling(t *testing.T) {
 	if tp := s.PerWorker[0].Throughput; tp < 0.19 || tp > 0.21 {
 		t.Fatalf("throughput %v, want ~0.2 jobs/s", tp)
 	}
-	// No estimate → no hint; finished → no hint.
+
+	// A worker that said goodbye counts as draining, not as capacity.
 	cp.mu.Lock()
-	cp.ewma = 0
-	noEst := cp.statusLocked(now)
-	cp.ewma = 5 * time.Second
+	cp.drains["w1"] = true
+	drained := cp.statusLocked(now)
 	cp.abortLockedForTest()
 	finished := cp.statusLocked(now)
 	cp.mu.Unlock()
-	if noEst.WantWorkers != 0 {
-		t.Fatalf("hint without an estimate: %d", noEst.WantWorkers)
+	if drained.Slots != 0 || drained.Draining != 1 || !drained.PerWorker[0].Draining {
+		t.Fatalf("goodbye not reflected: %+v", drained)
 	}
-	if finished.WantWorkers != 0 || !finished.Finished {
-		t.Fatalf("hint after finish: %+v", finished)
+	if !finished.Finished {
+		t.Fatalf("aborted campaign not finished: %+v", finished)
 	}
 
 	// The rendered forms carry the load-bearing numbers.
-	if sum := s.Summary(); !contains(sum, "2/8 done") || !contains(sum, "4 pending") || !contains(sum, "want 3 slots") {
+	if sum := s.Summary(); !contains(sum, "2/8 done") || !contains(sum, "4 pending") || !contains(sum, "1 workers/2 slots") {
 		t.Fatalf("summary line: %q", sum)
 	}
 	if tbl := s.Table(); !contains(tbl, "w1") || !contains(tbl, "1 leases granted") {

@@ -1,14 +1,11 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -35,13 +32,8 @@ type ClientOptions struct {
 	// makes bare addresses dial https.
 	TLSCert string
 	TLSKey  string
-	// Wrap, when non-nil, wraps the constructed transport — the hook the
-	// chaos package's fault injector plugs into. Ignored when HTTPClient
-	// is set (wrap that client's transport yourself).
-	Wrap func(http.RoundTripper) http.RoundTripper
 	// HTTPClient overrides the constructed client entirely (tests,
-	// custom transports). The other TLS fields and Wrap are ignored when
-	// set.
+	// custom transports). The TLS fields are ignored when set.
 	HTTPClient *http.Client
 }
 
@@ -71,7 +63,7 @@ func (co ClientOptions) client() (*http.Client, error) {
 	if co.HTTPClient != nil {
 		return co.HTTPClient, nil
 	}
-	var transport http.RoundTripper
+	client := &http.Client{}
 	if co.useTLS() {
 		cfg := &tls.Config{MinVersion: tls.VersionTLS12}
 		if co.TLSSkipVerify {
@@ -95,12 +87,9 @@ func (co ClientOptions) client() (*http.Client, error) {
 			}
 			cfg.Certificates = []tls.Certificate{cert}
 		}
-		transport = &http.Transport{TLSClientConfig: cfg}
+		client.Transport = &http.Transport{TLSClientConfig: cfg}
 	}
-	if co.Wrap != nil {
-		transport = co.Wrap(transport)
-	}
-	return &http.Client{Transport: transport}, nil
+	return client, nil
 }
 
 // authorize attaches the bearer token, if any.
@@ -110,174 +99,33 @@ func (co ClientOptions) authorize(req *http.Request) {
 	}
 }
 
-// StatusErrKind classifies why a status fetch failed, so every consumer
-// of the feed — ilsim-sweep -watch, ilsim-workerd -status-poll, the fleet
-// supervisor — shares one retry/give-up policy instead of each matching
-// error strings.
-type StatusErrKind int
-
-const (
-	// StatusUnreachable is a transport failure: connection refused, DNS,
-	// timeout — the coordinator may be gone, restarting, or partitioned.
-	StatusUnreachable StatusErrKind = iota
-	// StatusNotReady is HTTP 503: the coordinator is up but no campaign
-	// is installed yet. Normal startup noise; retry.
-	StatusNotReady
-	// StatusDenied is HTTP 401/403: credentials or certificate CN
-	// refused. Retrying with the same credentials cannot help.
-	StatusDenied
-	// StatusProtocol is any other refusal or an undecodable body — a
-	// version or configuration problem.
-	StatusProtocol
-)
-
-func (k StatusErrKind) String() string {
-	switch k {
-	case StatusUnreachable:
-		return "unreachable"
-	case StatusNotReady:
-		return "not-ready"
-	case StatusDenied:
-		return "denied"
-	default:
-		return "protocol"
-	}
-}
-
-// StatusError is the typed failure FetchStatus returns: the kind drives
-// retry policy, the wrapped error keeps the detail.
-type StatusError struct {
-	Addr string
-	Kind StatusErrKind
-	Err  error
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("dist: status from %s (%s): %v", e.Addr, e.Kind, e.Err)
-}
-
-func (e *StatusError) Unwrap() error { return e.Err }
-
-// StatusKindOf extracts the classification from a FetchStatus error;
-// non-StatusError values (nil included) report as StatusProtocol.
-func StatusKindOf(err error) (StatusErrKind, bool) {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Kind, true
-	}
-	return StatusProtocol, false
-}
-
-// StatusTracker is the shared give-up policy over a status poll loop.
-// Denied errors are fatal immediately (wrong credentials never fix
-// themselves); anything else before the first success is startup noise
-// (the endpoint answers 503 until the campaign installs); after the first
-// success, MaxMisses consecutive failures mean the coordinator is gone —
-// crashed, or finished and shut down — and polling should stop.
-type StatusTracker struct {
-	// MaxMisses is the consecutive-failure budget after the first
-	// success (default 5).
-	MaxMisses int
-
-	connected bool
-	misses    int
-}
-
-// Connected reports whether at least one fetch has succeeded.
-func (t *StatusTracker) Connected() bool { return t.connected }
-
-// Observe folds one FetchStatus outcome into the tracker: nil means keep
-// polling; a non-nil return is the terminal error the loop should stop
-// with.
-func (t *StatusTracker) Observe(err error) error {
-	if err == nil {
-		t.connected, t.misses = true, 0
-		return nil
-	}
-	if kind, ok := StatusKindOf(err); ok && kind == StatusDenied {
-		return err
-	}
-	if !t.connected {
-		return nil
-	}
-	max := t.MaxMisses
-	if max <= 0 {
-		max = 5
-	}
-	if t.misses++; t.misses >= max {
-		return fmt.Errorf("dist: coordinator gone after %d consecutive status failures: %w", t.misses, err)
-	}
-	return nil
-}
-
 // FetchStatus retrieves one GET /status snapshot from the coordinator at
-// addr (host:port, or a full http(s):// base URL) — the autoscaling feed
-// behind ilsim-sweep -watch, ilsim-workerd -status-poll and the fleet
-// supervisor. Failures come back as *StatusError so callers can share
-// one retry/give-up policy (see StatusTracker).
+// addr (host:port, or a full http(s):// base URL) — the feed behind
+// ilsim-sweep -watch and ilsim-workerd -status-poll. A refusal comes back
+// as an error IsFatal recognizes when retrying cannot fix it (a wrong
+// token, a refused certificate); 503 before the campaign installs and
+// transport failures are retryable.
 func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, error) {
-	statusErr := func(kind StatusErrKind, err error) error {
-		return &StatusError{Addr: addr, Kind: kind, Err: err}
-	}
 	client, err := co.client()
 	if err != nil {
-		return Status{}, statusErr(StatusProtocol, err)
+		return Status{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, co.baseURL(addr)+"/status", nil)
 	if err != nil {
-		return Status{}, statusErr(StatusProtocol, err)
+		return Status{}, err
 	}
 	co.authorize(req)
 	resp, err := client.Do(req)
 	if err != nil {
-		return Status{}, statusErr(StatusUnreachable, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		return Status{}, statusErr(StatusNotReady, errors.New(resp.Status))
-	case resp.StatusCode == http.StatusUnauthorized || resp.StatusCode == http.StatusForbidden:
-		return Status{}, statusErr(StatusDenied, errors.New(resp.Status))
-	default:
-		return Status{}, statusErr(StatusProtocol, errors.New(resp.Status))
-	}
-	var s Status
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return Status{}, statusErr(StatusProtocol, fmt.Errorf("decode: %w", err))
-	}
-	return s, nil
-}
-
-// RequestDrain asks the coordinator at addr to retire the named worker:
-// the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, releases unstarted leases, and exits its run
-// loop. This is the loss-free scale-down path the fleet supervisor uses —
-// no job is lost, because the worker hands its remainder back before it
-// goes.
-func RequestDrain(ctx context.Context, addr, worker string, co ClientOptions) error {
-	client, err := co.client()
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(drainRequest{Worker: worker})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, co.baseURL(addr)+"/drain", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	co.authorize(req)
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
+		return Status{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("dist: drain %s on %s: %s: %s", worker, addr, resp.Status, strings.TrimSpace(string(msg)))
+		return Status{}, statusError(resp)
 	}
-	return nil
+	var s Status
+	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+		return Status{}, fmt.Errorf("dist: status from %s: decode: %w", addr, err)
+	}
+	return s, nil
 }

@@ -8,13 +8,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ilsim/internal/exp"
@@ -35,20 +33,6 @@ type Options struct {
 	// the worker's observed per-job EWMA. 0 means DefaultBundleTarget;
 	// negative disables bundling (one job per lease, the v1 behavior).
 	BundleTarget time.Duration
-	// ScaleHorizon is the drain time the Status.WantWorkers hint aims
-	// for: the hint is the slot count that would finish the remaining
-	// jobs within this window (default DefaultScaleHorizon).
-	ScaleHorizon time.Duration
-	// Replicas leases every job to this many distinct workers and accepts
-	// the majority result (votes are stats.Run integrity hashes — see
-	// package docs). 0 or 1 means no replication: first result wins,
-	// exactly the pre-quorum behavior. Use 3 when workers are untrusted;
-	// even values work but buy no extra fault tolerance over the next
-	// odd value down.
-	Replicas int
-	// Health tunes the worker health ledger and quarantine thresholds
-	// (nil = DefaultHealthPolicy).
-	Health *HealthPolicy
 	// TLSCert and TLSKey are PEM file paths; when both are set the
 	// coordinator serves its endpoints over TLS. Self-signed pairs work —
 	// point workers at the certificate via ClientOptions.TLSCACert.
@@ -63,13 +47,6 @@ type Options struct {
 	// on every endpoint (status and pprof included), compared in constant
 	// time. Wrong or missing tokens get 401.
 	AuthToken string
-	// AllowedCNs, when non-empty, pins the set of client-certificate
-	// CommonNames admitted past mutual TLS: every request must arrive
-	// with a verified client certificate whose CN is in this set, or it
-	// is refused with 403, logged, and counted in Status.RejectedCNs.
-	// Requires TLSClientCA — an ACL over unverified names would pin
-	// nothing.
-	AllowedCNs []string
 	// Journal, when non-nil, persists every accepted result before it is
 	// acknowledged, exactly as a local engine would — the same file
 	// resumes the campaign across coordinator restarts.
@@ -97,11 +74,6 @@ type Coordinator struct {
 	srv     *http.Server
 	handler http.Handler
 
-	// rejectedCNs counts requests refused by the AllowedCNs ACL; it lives
-	// on the coordinator, not the campaign, so refusals before a campaign
-	// installs still count.
-	rejectedCNs atomic.Int64
-
 	mu   sync.Mutex
 	camp *campaign
 }
@@ -118,16 +90,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	}
 	if opts.BundleTarget == 0 {
 		opts.BundleTarget = DefaultBundleTarget
-	}
-	if opts.ScaleHorizon <= 0 {
-		opts.ScaleHorizon = DefaultScaleHorizon
-	}
-	if opts.Replicas < 1 {
-		opts.Replicas = 1
-	}
-	if opts.Health == nil {
-		hp := DefaultHealthPolicy()
-		opts.Health = &hp
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -148,41 +110,12 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /result", c.handleResult)
 	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /release", c.handleRelease)
-	mux.HandleFunc("POST /drain", c.handleDrain)
 	mux.HandleFunc("GET /status", c.handleStatus)
 	if c.opts.DebugPprof {
 		registerPprof(mux)
 	}
-	c.handler = c.requireAuth(c.requireCN(mux))
+	c.handler = c.requireAuth(mux)
 	return c.handler
-}
-
-// requireCN wraps h with the certificate ACL. With no AllowedCNs the
-// handler passes through untouched; with some, every request must carry a
-// verified client certificate (mutual TLS did the verifying) whose CN is
-// in the allowed set — anything else is 403, logged and counted.
-func (c *Coordinator) requireCN(h http.Handler) http.Handler {
-	if len(c.opts.AllowedCNs) == 0 {
-		return h
-	}
-	allowed := make(map[string]bool, len(c.opts.AllowedCNs))
-	for _, cn := range c.opts.AllowedCNs {
-		allowed[cn] = true
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cn := ""
-		if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
-			cn = r.TLS.PeerCertificates[0].Subject.CommonName
-		}
-		if !allowed[cn] {
-			c.rejectedCNs.Add(1)
-			c.opts.Logf("dist: refused %s %s from %s: client certificate CN %q not in the allowed set",
-				r.Method, r.URL.Path, r.RemoteAddr, cn)
-			httpError(w, http.StatusForbidden, "dist: client certificate CN %q is not allowed here", cn)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 // requireAuth wraps h with the shared-token check. With no AuthToken the
@@ -211,23 +144,30 @@ func (c *Coordinator) Start() error {
 	if c.ln != nil {
 		return nil
 	}
+	ln, err := c.listen()
+	if err != nil {
+		return err
+	}
+	c.serve(ln)
+	return nil
+}
+
+// listen binds Options.Addr, wrapped in TLS when a server certificate is
+// configured.
+func (c *Coordinator) listen() (net.Listener, error) {
 	ln, err := net.Listen("tcp", c.opts.Addr)
 	if err != nil {
-		return fmt.Errorf("dist: listen %s: %w", c.opts.Addr, err)
+		return nil, fmt.Errorf("dist: listen %s: %w", c.opts.Addr, err)
 	}
 	if c.opts.TLSClientCA != "" && (c.opts.TLSCert == "" || c.opts.TLSKey == "") {
 		ln.Close()
-		return fmt.Errorf("dist: -tls-client-ca requires a server certificate (TLSCert/TLSKey)")
-	}
-	if len(c.opts.AllowedCNs) > 0 && c.opts.TLSClientCA == "" {
-		ln.Close()
-		return fmt.Errorf("dist: -allow-cn requires mutual TLS (-tls-client-ca): without verified client certificates the ACL pins nothing")
+		return nil, fmt.Errorf("dist: -tls-client-ca requires a server certificate (TLSCert/TLSKey)")
 	}
 	if c.opts.TLSCert != "" || c.opts.TLSKey != "" {
 		cert, err := tls.LoadX509KeyPair(c.opts.TLSCert, c.opts.TLSKey)
 		if err != nil {
 			ln.Close()
-			return fmt.Errorf("dist: load TLS keypair: %w", err)
+			return nil, fmt.Errorf("dist: load TLS keypair: %w", err)
 		}
 		cfg := &tls.Config{
 			Certificates: []tls.Certificate{cert},
@@ -237,22 +177,26 @@ func (c *Coordinator) Start() error {
 			pem, err := os.ReadFile(c.opts.TLSClientCA)
 			if err != nil {
 				ln.Close()
-				return fmt.Errorf("dist: read client CA: %w", err)
+				return nil, fmt.Errorf("dist: read client CA: %w", err)
 			}
 			pool := x509.NewCertPool()
 			if !pool.AppendCertsFromPEM(pem) {
 				ln.Close()
-				return fmt.Errorf("dist: no certificates in client CA %s", c.opts.TLSClientCA)
+				return nil, fmt.Errorf("dist: no certificates in client CA %s", c.opts.TLSClientCA)
 			}
 			cfg.ClientCAs = pool
 			cfg.ClientAuth = tls.RequireAndVerifyClientCert
 		}
 		ln = tls.NewListener(ln, cfg)
 	}
+	return ln, nil
+}
+
+// serve starts the protocol server on ln in the background.
+func (c *Coordinator) serve(ln net.Listener) {
 	c.ln = ln
 	c.srv = &http.Server{Handler: c.Handler()}
 	go c.srv.Serve(ln)
-	return nil
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -263,12 +207,24 @@ func (c *Coordinator) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// Close stops serving. The campaign journal (if any) stays resumable.
+// closeGrace bounds how long Close waits for in-flight requests.
+const closeGrace = 5 * time.Second
+
+// Close stops serving. Requests already being answered — above all the
+// Done replies that end each worker slot after a finished campaign — are
+// written out first, for up to closeGrace; a worker whose reply was cut
+// off would see EOF and retry a closed port for its whole outage window.
+// The campaign journal (if any) stays resumable.
 func (c *Coordinator) Close() error {
 	if c.srv == nil {
 		return nil
 	}
-	return c.srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	if err := c.srv.Shutdown(ctx); err != nil {
+		return c.srv.Close()
+	}
+	return nil
 }
 
 // Run executes the job set through remote workers (see RunContext).
@@ -297,10 +253,6 @@ func (c *Coordinator) RunContext(ctx context.Context, jobs []exp.Job) ([]exp.Res
 			if r, ok := c.opts.Journal.Completed(i); ok {
 				cp.results[i].Run, cp.results[i].Wall, cp.results[i].Resumed = r.Run, r.Wall, true
 				cp.state[i] = stateDone
-				// Record the accepted ballot so a stray post-restart
-				// result for this job is judged against it rather than
-				// counted as dissent by default.
-				cp.accepted[i] = exp.RunSHA(r.Run)
 				cp.done++
 				cp.resumed++
 			}
@@ -361,8 +313,9 @@ func (c *Coordinator) linger(ctx context.Context, cp *campaign) {
 		allAcked := true
 		for name, ws := range cp.workers {
 			if now.Sub(ws.seen) > cp.leaseTTL || cp.drains[name] {
-				// Dead workers are not waited for; neither are draining
-				// ones — they stop polling once their in-flight work lands.
+				// Dead workers are not waited for; neither are ones that
+				// said goodbye — they stop polling once their in-flight
+				// work lands.
 				continue
 			}
 			if ws.acked < ws.slots {
@@ -406,8 +359,7 @@ func reclaimEvery(ttl time.Duration) time.Duration {
 const ewmaAlpha = 0.3
 
 // workerState is everything the coordinator tracks per worker: liveness,
-// the completion handshake, the runtime estimate behind bundle sizing
-// and the autoscaling hints, and the health ledger behind quarantine.
+// the completion handshake and the runtime estimate behind bundle sizing.
 type workerState struct {
 	seen time.Time
 	// slots is the worker's declared lease-poll concurrency; acked counts
@@ -416,32 +368,25 @@ type workerState struct {
 	// so every polling slot learns the campaign is over.
 	slots int
 	acked int
-	// done counts results reported by this worker; ewma tracks its
+	// done counts results accepted from this worker; ewma tracks its
 	// observed per-job runtime.
 	done int
 	ewma time.Duration
 	// cn is the CommonName of the worker's client certificate under
 	// mutual TLS.
 	cn string
-	// fleet is the supervisor label the worker announced at join; empty
-	// for hand-launched workers.
-	fleet string
-	// Health ledger: score decays exponentially from scoreAt; a non-zero
-	// quarantinedUntil in the future means leases are refused. The
-	// counters feed WorkerStatus.
-	score            float64
-	scoreAt          time.Time
-	quarantinedUntil time.Time
-	quarantines      int
-	integrity        int
-	dissents         int
-	expiries         int
 }
 
-// campaign is the lease table, ballot box and result store of one job
-// set. With replicas > 1 a job may be leased to several workers at once;
-// leases maps job index → holder → deadline, and votes/ballots/accepted
-// run the per-job election over result fingerprints.
+// lease is one job's current holder and the deadline its heartbeats
+// extend.
+type lease struct {
+	worker   string
+	deadline time.Time
+}
+
+// campaign is the lease table and result store of one job set. Each
+// unfinished job is leased to at most one worker at a time; the first
+// valid result reported for a job is accepted, later ones are ignored.
 type campaign struct {
 	mu      sync.Mutex
 	jobs    []exp.Job
@@ -449,33 +394,19 @@ type campaign struct {
 	setFP   string
 	results []exp.Result
 	state   []jobState
-	leases  map[int]map[string]time.Time
+	leases  map[int]lease
 	workers map[string]*workerState
-	// drains marks workers asked to retire: their next lease poll or
-	// heartbeat carries the drain flag, and the post-completion linger
-	// does not wait for them. A worker that posts /release marks itself.
+	// drains marks workers that said goodbye (POST /release): they are
+	// granted no further leases, and the post-completion linger does not
+	// wait for them. A fresh join clears the mark.
 	drains map[string]bool
-
-	// replicas is the quorum width; health the ledger policy.
-	replicas int
-	health   HealthPolicy
-	// votes[idx] maps voter → ballot key; ballots[idx] maps ballot key →
-	// the first result that cast it; accepted[idx] is the winning key
-	// once the job is done ("" for resumed failures and pre-quorum
-	// campaigns); tallying[idx] guards the unlock-journal-relock window
-	// so one election is only journaled once.
-	votes    []map[string]string
-	ballots  []map[string]voteOutcome
-	accepted []string
-	tallying []bool
 
 	done, resumed, failed, retries int
 	jobWall                        time.Duration
 	start                          time.Time
 	aborted                        bool
 	// ewma is the campaign-wide per-job runtime estimate: the bundle-size
-	// fallback for workers with no history yet, and the basis of the
-	// WantWorkers hint.
+	// fallback for workers with no history yet.
 	ewma time.Duration
 	// leases granted and the largest bundle granted, for Status; grants
 	// counts lease grants per job (a reassigned job has more than one).
@@ -493,7 +424,6 @@ type campaign struct {
 	progressMu   sync.Mutex
 	leaseTTL     time.Duration
 	bundleTarget time.Duration
-	scaleHorizon time.Duration
 	logf         func(string, ...any)
 }
 
@@ -504,22 +434,7 @@ const (
 	stateDone
 )
 
-// voteOutcome is one ballot's evidence: the first result that cast it and
-// the worker it came from (the worker credited on acceptance).
-type voteOutcome struct {
-	res    exp.Result
-	worker string
-}
-
 func newCampaign(jobs []exp.Job, opts Options) *campaign {
-	replicas := opts.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	health := DefaultHealthPolicy()
-	if opts.Health != nil {
-		health = *opts.Health
-	}
 	cp := &campaign{
 		jobs:         jobs,
 		fps:          make([]string, len(jobs)),
@@ -527,15 +442,9 @@ func newCampaign(jobs []exp.Job, opts Options) *campaign {
 		results:      make([]exp.Result, len(jobs)),
 		state:        make([]jobState, len(jobs)),
 		grants:       make([]int, len(jobs)),
-		leases:       make(map[int]map[string]time.Time),
+		leases:       make(map[int]lease),
 		workers:      make(map[string]*workerState),
 		drains:       make(map[string]bool),
-		replicas:     replicas,
-		health:       health,
-		votes:        make([]map[string]string, len(jobs)),
-		ballots:      make([]map[string]voteOutcome, len(jobs)),
-		accepted:     make([]string, len(jobs)),
-		tallying:     make([]bool, len(jobs)),
 		start:        time.Now(),
 		changed:      make(chan struct{}),
 		finished:     make(chan struct{}),
@@ -543,7 +452,6 @@ func newCampaign(jobs []exp.Job, opts Options) *campaign {
 		onProgress:   opts.OnProgress,
 		leaseTTL:     opts.LeaseTTL,
 		bundleTarget: opts.BundleTarget,
-		scaleHorizon: opts.ScaleHorizon,
 		logf:         opts.Logf,
 	}
 	for i, job := range jobs {
@@ -581,29 +489,19 @@ func (cp *campaign) finishedNow() bool {
 	}
 }
 
-// reclaimLocked returns every expired lease to the pending pool and
-// charges the expiry against the holder's health ledger. Leases are per
-// job even when granted as a bundle, so only the un-acked remainder of a
-// dead worker's bundle comes back — jobs it already reported stay done.
-// Callers hold cp.mu.
+// reclaimLocked returns every expired lease to the pending pool. Leases
+// are per job even when granted as a bundle, so only the un-acked
+// remainder of a dead worker's bundle comes back — jobs it already
+// reported stay done. Callers hold cp.mu.
 func (cp *campaign) reclaimLocked(now time.Time) {
 	woke := false
-	for idx, holders := range cp.leases {
-		for worker, deadline := range holders {
-			if now.Before(deadline) {
-				continue
-			}
-			delete(holders, worker)
-			if cp.state[idx] != stateDone {
-				woke = true
-				cp.logf("dist: lease on job %d (%s) held by %s expired; reassigning", idx, cp.jobs[idx], worker)
-				cp.workerLocked(worker).expiries++
-				cp.strikeLocked(worker, cp.health.WExpiry, fmt.Sprintf("lease expiry on job %d", idx), now)
-			}
+	for idx, l := range cp.leases {
+		if now.Before(l.deadline) {
+			continue
 		}
-		if len(holders) == 0 {
-			delete(cp.leases, idx)
-		}
+		delete(cp.leases, idx)
+		woke = true
+		cp.logf("dist: lease on job %d (%s) held by %s expired; reassigning", idx, cp.jobs[idx], l.worker)
 	}
 	if woke {
 		cp.broadcastLocked()
@@ -641,31 +539,8 @@ func (cp *campaign) bundleSizeLocked(worker string, workerMS int64) int {
 	return n
 }
 
-// wantLeasesLocked returns how many leases job idx should have
-// outstanding given its election so far: provision the full replica
-// count up front, then keep enough in flight to reach a majority — so a
-// split election (every voter a different ballot) extends itself one
-// voter at a time until some ballot wins. Callers hold cp.mu.
-func (cp *campaign) wantLeasesLocked(idx int) int {
-	want := cp.replicas - len(cp.votes[idx])
-	best := 0
-	counts := make(map[string]int, len(cp.votes[idx]))
-	for _, k := range cp.votes[idx] {
-		counts[k]++
-		if counts[k] > best {
-			best = counts[k]
-		}
-	}
-	if need := cp.replicas/2 + 1 - best; need > want {
-		want = need
-	}
-	return want
-}
-
-// takeLocked hands up to max of the lowest eligible jobs to worker as one
-// bundle. A job is eligible when it is not done, this worker neither
-// holds it nor has voted on it, and its election still wants more voters
-// than it has leases outstanding. Callers hold cp.mu.
+// takeLocked leases up to max of the lowest-indexed jobs that are neither
+// done nor leased to worker as one bundle. Callers hold cp.mu.
 func (cp *campaign) takeLocked(worker string, now time.Time, max int) []int {
 	var taken []int
 	deadline := now.Add(cp.leaseTTL)
@@ -673,27 +548,10 @@ func (cp *campaign) takeLocked(worker string, now time.Time, max int) []int {
 		if st == stateDone {
 			continue
 		}
-		holders := cp.leases[idx]
-		if _, held := holders[worker]; held {
+		if _, leased := cp.leases[idx]; leased {
 			continue
 		}
-		if cp.replicas == 1 {
-			if len(holders) > 0 {
-				continue
-			}
-		} else {
-			if _, voted := cp.votes[idx][worker]; voted {
-				continue
-			}
-			if len(holders) >= cp.wantLeasesLocked(idx) {
-				continue
-			}
-		}
-		if holders == nil {
-			holders = make(map[string]time.Time)
-			cp.leases[idx] = holders
-		}
-		holders[worker] = deadline
+		cp.leases[idx] = lease{worker: worker, deadline: deadline}
 		cp.grants[idx]++
 		taken = append(taken, idx)
 		if len(taken) >= max {
@@ -710,37 +568,17 @@ func (cp *campaign) takeLocked(worker string, now time.Time, max int) []int {
 }
 
 // heartbeat extends the deadlines of held leases (only those the worker
-// actually owns), refreshes the worker's last-seen time, and reports
-// whether the worker has been asked to drain.
-func (cp *campaign) heartbeat(worker string, held []int, now time.Time) (drain bool) {
+// actually owns) and refreshes the worker's last-seen time.
+func (cp *campaign) heartbeat(worker string, held []int, now time.Time) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.workerLocked(worker).seen = now
 	for _, idx := range held {
-		if idx < 0 || idx >= len(cp.state) {
-			continue
-		}
-		if holders := cp.leases[idx]; holders != nil {
-			if _, ok := holders[worker]; ok {
-				holders[worker] = now.Add(cp.leaseTTL)
-			}
+		if l, ok := cp.leases[idx]; ok && l.worker == worker {
+			l.deadline = now.Add(cp.leaseTTL)
+			cp.leases[idx] = l
 		}
 	}
-	return cp.drains[worker]
-}
-
-// drain marks a worker for retirement; its next lease poll or heartbeat
-// learns about it. The long-pollers are woken so an idle worker drains
-// immediately rather than at the end of its poll window.
-func (cp *campaign) drain(worker string) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.drains[worker] {
-		return
-	}
-	cp.drains[worker] = true
-	cp.logf("dist: drain requested for worker %s", worker)
-	cp.broadcastLocked()
 }
 
 // release returns one worker's lease on a job to the pending pool (the
@@ -749,146 +587,39 @@ func (cp *campaign) drain(worker string) {
 func (cp *campaign) release(idx int, worker string) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	if idx < 0 || idx >= len(cp.state) || cp.state[idx] == stateDone {
-		return
-	}
-	if holders := cp.leases[idx]; holders != nil {
-		if _, ok := holders[worker]; ok {
-			delete(holders, worker)
-			cp.broadcastLocked()
-		}
-	}
-}
-
-// voteKey derives the ballot a result casts: the run's integrity hash
-// for successes (two workers agree iff their runs fingerprint
-// byte-identically), the error class for failures (two workers that both
-// hit a permanent failure agree on "the job fails", not on its text).
-func voteKey(w exp.WireResult, res exp.Result) string {
-	if res.Err != nil {
-		return "err:" + exp.Classify(res.Err).String()
-	}
-	return w.RunSHA
-}
-
-// vote records one worker's result for job idx as a ballot in that job's
-// election and accepts the first ballot to reach a majority of the
-// replica count. With replicas == 1 every election is decided by its
-// first vote, which reduces exactly to the pre-quorum first-result-wins
-// behavior. The journal write happens before the job is marked done, so
-// an acknowledged acceptance is always durable; a journal failure clears
-// the tally guard and surfaces as a 5xx, and the worker's retry re-enters
-// the tally through the duplicate-vote path. Dissenting ballots — cast
-// before or after acceptance — are charged against their workers' health
-// ledgers.
-func (cp *campaign) vote(idx int, res exp.Result, worker, key string) error {
-	now := time.Now()
-	cp.mu.Lock()
-	if cp.aborted {
-		cp.mu.Unlock()
-		return nil
-	}
-	if cp.quarantinedLocked(worker, now) {
-		// Acked but not evidence: a quarantined worker's ballots are
-		// exactly what the quarantine exists to keep out of elections.
-		cp.logf("dist: dropping result for job %d from quarantined worker %s", idx, worker)
-		cp.mu.Unlock()
-		return nil
-	}
-	ws := cp.workerLocked(worker)
-	ws.seen = now
-	prior, dup := cp.votes[idx][worker]
-	if dup {
-		key = prior // a duplicate delivery cannot switch ballots
-	} else {
-		if cp.votes[idx] == nil {
-			cp.votes[idx] = make(map[string]string)
-		}
-		cp.votes[idx][worker] = key
-		if cp.ballots[idx] == nil {
-			cp.ballots[idx] = make(map[string]voteOutcome)
-		}
-		if _, ok := cp.ballots[idx][key]; !ok {
-			cp.ballots[idx][key] = voteOutcome{res: res, worker: worker}
-		}
-		if holders := cp.leases[idx]; holders != nil {
-			delete(holders, worker)
-		}
-		ws.done++
-		ws.ewma = ewma(ws.ewma, res.Wall)
-		cp.ewma = ewma(cp.ewma, res.Wall)
-		if res.Err != nil && exp.Classify(res.Err) == exp.ClassPanic {
-			cp.strikeLocked(worker, cp.health.WPanic, fmt.Sprintf("panic-class result on job %d", idx), now)
-		}
-	}
-	if cp.state[idx] == stateDone {
-		// Late ballot: the election is over, but agreement is still
-		// evidence — a straggler disagreeing with the accepted result is
-		// as suspect as a dissenting voter.
-		if !dup && cp.accepted[idx] != "" && key != cp.accepted[idx] {
-			ws.dissents++
-			cp.strikeLocked(worker, cp.health.WDissent, fmt.Sprintf("late dissent on job %d", idx), now)
-		}
-		cp.mu.Unlock()
-		return nil
-	}
-	bestKey, best := "", 0
-	counts := make(map[string]int, len(cp.votes[idx]))
-	for _, k := range cp.votes[idx] {
-		counts[k]++
-		if counts[k] > best {
-			bestKey, best = k, counts[k]
-		}
-	}
-	if best < cp.replicas/2+1 {
-		// Election still open. Wake the long-pollers: a fresh dissenting
-		// ballot can raise this job's wanted-lease count.
+	if l, ok := cp.leases[idx]; ok && l.worker == worker {
+		delete(cp.leases, idx)
 		cp.broadcastLocked()
-		cp.mu.Unlock()
-		return nil
 	}
-	if cp.tallying[idx] {
-		// Another request is journaling this election's winner.
-		cp.mu.Unlock()
-		return nil
-	}
-	cp.tallying[idx] = true
-	winner := cp.ballots[idx][bestKey]
-	journal := cp.journal
-	voters := make(map[string]string, len(cp.votes[idx]))
-	for w, k := range cp.votes[idx] {
-		voters[w] = k
-	}
-	cp.mu.Unlock()
+}
 
-	if journal != nil {
-		if err := journal.Record(idx, winner.res); err != nil {
-			cp.mu.Lock()
-			cp.tallying[idx] = false
+// record accepts worker's result for job idx unless the job is already
+// done: the first result wins, and a late or duplicate delivery is
+// acknowledged and dropped. The journal write happens before the job is
+// marked done, so an acknowledged acceptance is always durable; a journal
+// failure leaves the job pending and surfaces as a 5xx, which the worker
+// retries. cp.mu is held across the write so two results for one job
+// cannot both be journaled.
+func (cp *campaign) record(idx int, res exp.Result, worker string) error {
+	cp.mu.Lock()
+	ws := cp.workerLocked(worker)
+	ws.seen = time.Now()
+	if cp.aborted || cp.state[idx] == stateDone {
+		cp.mu.Unlock()
+		return nil
+	}
+	if cp.journal != nil {
+		if err := cp.journal.Record(idx, res); err != nil {
 			cp.mu.Unlock()
 			return fmt.Errorf("dist: journal: %w", err)
 		}
-		if cp.replicas > 1 {
-			for w, k := range voters {
-				if err := journal.RecordVote(idx, w, k, bestKey); err != nil {
-					cp.logf("dist: journal: vote record for job %d: %v", idx, err)
-					break
-				}
-			}
-		}
-	}
-
-	cp.mu.Lock()
-	if cp.state[idx] == stateDone || cp.aborted {
-		cp.tallying[idx] = false
-		cp.mu.Unlock()
-		return nil
 	}
 	cp.state[idx] = stateDone
-	cp.accepted[idx] = bestKey
-	cp.tallying[idx] = false
-	delete(cp.leases, idx) // stragglers still running report as late ballots
-	r := winner.res
+	delete(cp.leases, idx) // a reassigned holder still running reports late
+	ws.done++
+	ws.ewma = ewma(ws.ewma, res.Wall)
+	cp.ewma = ewma(cp.ewma, res.Wall)
+	r := res
 	r.Job = cp.jobs[idx]
 	cp.results[idx] = r
 	cp.done++
@@ -899,14 +630,6 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string) error {
 		cp.retries += r.Attempts - 1
 	}
 	cp.jobWall += r.Wall
-	for w, k := range voters {
-		if k != bestKey {
-			dws := cp.workerLocked(w)
-			dws.dissents++
-			cp.logf("dist: quorum on job %d: worker %s dissented (%s vs accepted %s)", idx, w, k, bestKey)
-			cp.strikeLocked(w, cp.health.WDissent, fmt.Sprintf("lost quorum vote on job %d", idx), now)
-		}
-	}
 	done, failed, resumed := cp.done, cp.failed, cp.resumed
 	total := len(cp.jobs)
 	elapsed := time.Since(cp.start)
@@ -924,7 +647,7 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string) error {
 			Job:      r.Job, Err: r.Err,
 			Wall: r.Wall, Elapsed: elapsed,
 			ETA:    progressETA(done-resumed, done, total, elapsed),
-			Worker: winner.worker,
+			Worker: worker,
 		})
 		cp.progressMu.Unlock()
 	}
@@ -969,65 +692,42 @@ func (cp *campaign) assemble() ([]exp.Result, exp.Metrics, error) {
 	return cp.results, m, nil
 }
 
-// statusLocked assembles the Status snapshot, autoscaling hints included.
-// Callers hold cp.mu.
+// statusLocked assembles the Status snapshot. Callers hold cp.mu.
 func (cp *campaign) statusLocked(now time.Time) Status {
 	s := Status{
 		SetFP: cp.setFP, Total: len(cp.jobs),
 		Done: cp.done, Failed: cp.failed, Resumed: cp.resumed,
+		Leased:  len(cp.leases),
 		Workers: len(cp.workers),
 		Leases:  cp.leaseGrants, MaxBundle: cp.maxBundle,
 		Finished: cp.finishedNow(),
 	}
-	if cp.replicas > 1 {
-		s.Replicas = cp.replicas
-	}
-	for idx, st := range cp.state {
-		if st == stateDone {
-			continue
-		}
-		if len(cp.leases[idx]) > 0 {
-			s.Leased++
-		} else {
-			s.Pending++
-		}
-	}
+	// Leases cover only unfinished jobs; the rest of those are queued.
+	s.Pending = len(cp.jobs) - cp.done - s.Leased
 	held := make(map[string]int, len(cp.workers))
 	// active tracks the lowest-indexed job each worker holds: workers
 	// execute bundles in lease order, so that is the job on its CPU now
 	// (or next). Min over indexes keeps the label deterministic despite
 	// map iteration order.
 	active := make(map[string]int, len(cp.workers))
-	for idx, holders := range cp.leases {
-		for w := range holders {
-			held[w]++
-			if cur, ok := active[w]; !ok || idx < cur {
-				active[w] = idx
-			}
+	for idx, l := range cp.leases {
+		held[l.worker]++
+		if cur, ok := active[l.worker]; !ok || idx < cur {
+			active[l.worker] = idx
 		}
 	}
 	for name, ws := range cp.workers {
-		quarantined := cp.quarantinedLocked(name, now)
 		draining := cp.drains[name]
 		if draining {
 			s.Draining++
-		}
-		if quarantined {
-			s.Quarantined++
-		} else if now.Sub(ws.seen) <= cp.leaseTTL && !draining {
+		} else if now.Sub(ws.seen) <= cp.leaseTTL {
 			s.Slots += ws.slots
 		}
 		row := WorkerStatus{
 			Name: name, Slots: ws.slots, Held: held[name],
 			Done: ws.done, EWMAMS: ws.ewma.Milliseconds(),
-			CN:          ws.cn,
-			Fleet:       ws.fleet,
-			Draining:    draining,
-			Score:       cp.scoreLocked(ws, now),
-			Quarantined: quarantined,
-			Dissents:    ws.dissents,
-			Integrity:   ws.integrity,
-			Expiries:    ws.expiries,
+			CN:       ws.cn,
+			Draining: draining,
 		}
 		if ws.ewma > 0 {
 			row.Throughput = float64(time.Second) / float64(ws.ewma)
@@ -1038,27 +738,7 @@ func (cp *campaign) statusLocked(now time.Time) Status {
 		s.PerWorker = append(s.PerWorker, row)
 	}
 	s.ETAMS = progressETA(cp.done-cp.resumed, cp.done, len(cp.jobs), now.Sub(cp.start)).Milliseconds()
-	s.WantWorkers = cp.wantWorkersLocked()
 	return s
-}
-
-// wantWorkersLocked computes the autoscaling hint: the worker-slot count
-// that would drain the remaining jobs within the scale horizon at the
-// campaign's observed per-job runtime. No observation yet (or nothing
-// left to do) means no hint. Callers hold cp.mu.
-func (cp *campaign) wantWorkersLocked() int {
-	remaining := len(cp.jobs) - cp.done
-	if remaining <= 0 || cp.finishedNow() || cp.ewma <= 0 {
-		return 0
-	}
-	n := int(math.Ceil(float64(remaining) * float64(cp.ewma) / float64(cp.scaleHorizon)))
-	if n < 1 {
-		n = 1
-	}
-	if n > remaining {
-		n = remaining
-	}
-	return n
 }
 
 // progressETA mirrors the engine's ETA derivation (exp.Metrics.Throughput
@@ -1133,7 +813,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	ws.seen = time.Now()
 	ws.slots = slots
 	ws.cn = cn
-	ws.fleet = req.Fleet
+	delete(cp.drains, req.Worker) // a worker rejoining under its old name is back
 	nWorkers := len(cp.workers)
 	cp.mu.Unlock()
 	if cn != "" {
@@ -1191,24 +871,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		cp.reclaimLocked(now)
 		cp.workerLocked(req.Worker).seen = now
 		if cp.drains[req.Worker] {
+			// The worker said goodbye while this poll was pending: answer
+			// without a bundle, and its slot sees its own drain and exits.
 			cp.mu.Unlock()
-			reply(w, leaseReply{Drain: true})
+			reply(w, leaseReply{Wait: true})
 			return
 		}
-		// A quarantined worker stays in the long-poll loop (so it learns
-		// promptly when the campaign finishes, or when its probation
-		// ends) but is never granted a lease.
-		if !cp.quarantinedLocked(req.Worker, now) {
-			if taken := cp.takeLocked(req.Worker, now, cp.bundleSizeLocked(req.Worker, req.BundleMS)); len(taken) > 0 {
-				bundle := make([]leasedJob, len(taken))
-				for i, idx := range taken {
-					job := cp.jobs[idx]
-					bundle[i] = leasedJob{Index: idx, Job: &job, JobFP: cp.fps[idx]}
-				}
-				cp.mu.Unlock()
-				reply(w, leaseReply{Jobs: bundle})
-				return
+		if taken := cp.takeLocked(req.Worker, now, cp.bundleSizeLocked(req.Worker, req.BundleMS)); len(taken) > 0 {
+			bundle := make([]leasedJob, len(taken))
+			for i, idx := range taken {
+				job := cp.jobs[idx]
+				bundle[i] = leasedJob{Index: idx, Job: &job, JobFP: cp.fps[idx]}
 			}
+			cp.mu.Unlock()
+			reply(w, leaseReply{Jobs: bundle})
+			return
 		}
 		ch := cp.changed
 		cp.mu.Unlock()
@@ -1243,22 +920,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := req.Result.Decode()
 	if err != nil {
-		// An integrity-hash failure is a health event, not just a bad
-		// request: the sender shipped a payload it could not have
-		// believed in. Strike it and free its lease for re-assignment.
+		// An integrity-hash failure means the payload cannot be trusted:
+		// refuse it and free the sender's lease for re-assignment.
 		var ie *exp.IntegrityError
 		if errors.As(err, &ie) {
-			now := time.Now()
-			cp.mu.Lock()
-			cp.workerLocked(req.Worker).integrity++
-			cp.strikeLocked(req.Worker, cp.health.WIntegrity, fmt.Sprintf("integrity-hash failure on job %d", idx), now)
-			if holders := cp.leases[idx]; holders != nil {
-				if _, held := holders[req.Worker]; held {
-					delete(holders, req.Worker)
-					cp.broadcastLocked()
-				}
-			}
-			cp.mu.Unlock()
+			cp.logf("dist: refused result for job %d from %s: %v", idx, req.Worker, err)
+			cp.release(idx, req.Worker)
 		}
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1270,7 +937,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		reply(w, struct{}{})
 		return
 	}
-	if err := cp.vote(idx, res, req.Worker, voteKey(req.Result, res)); err != nil {
+	if err := cp.record(idx, res, req.Worker); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -1296,31 +963,11 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	// Handing leases back without results is a worker's goodbye — mark it
 	// draining so status reflects it and the linger does not wait for it,
-	// and wake its pending lease polls so they answer with the drain flag.
+	// and wake its pending lease polls so they answer without a bundle.
 	cp.mu.Lock()
 	cp.drains[req.Worker] = true
 	cp.broadcastLocked()
 	cp.mu.Unlock()
-	reply(w, struct{}{})
-}
-
-// handleDrain marks a worker for retirement on a supervisor's behalf: the
-// worker's next lease poll or heartbeat carries the drain flag.
-func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req drainRequest
-	if !decodeInto(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "dist: drain without a worker name")
-		return
-	}
-	cp := c.campaignFor()
-	if cp == nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", errNoCampaign)
-		return
-	}
-	cp.drain(req.Worker)
 	reply(w, struct{}{})
 }
 
@@ -1333,8 +980,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if cp == nil {
 		return
 	}
-	drain := cp.heartbeat(req.Worker, req.Held, time.Now())
-	reply(w, heartbeatReply{Drain: drain})
+	cp.heartbeat(req.Worker, req.Held, time.Now())
+	reply(w, struct{}{})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -1346,6 +993,5 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	cp.mu.Lock()
 	s := cp.statusLocked(time.Now())
 	cp.mu.Unlock()
-	s.RejectedCNs = c.rejectedCNs.Load()
 	reply(w, s)
 }

@@ -15,26 +15,18 @@
 // progress survives worker death — lease expiry reassigns only the
 // un-acked remainder of a bundle, never work already reported.
 //
-// The protocol is seven JSON-over-HTTP endpoints:
+// The protocol is six JSON-over-HTTP endpoints:
 //
 //	POST /join       version + probe-fingerprint handshake; stale binaries refused
 //	POST /lease      long-poll for a bundle of jobs (index, job, fingerprint each)
 //	POST /result     stream back one exp.WireResult (integrity-hashed)
 //	POST /heartbeat  keep held leases alive
 //	POST /release    hand unstarted leases back (graceful drain)
-//	POST /drain      ask the coordinator to retire one worker (fleet scale-down)
-//	GET  /status     campaign counters plus autoscaling + health
+//	GET  /status     campaign counters and per-worker rows
 //
-// Workers are not trusted. Every result is integrity-hash checked at
-// decode; with Options.Replicas > 1 each job is leased to that many
-// distinct workers and the coordinator votes on stats.Run fingerprints,
-// accepting only the majority result (a lying worker whose results are
-// internally consistent is caught by disagreement, not by hashing). A
-// per-worker health ledger scores integrity failures, quorum dissent,
-// lease expiries and panic-class results; past a threshold the worker is
-// quarantined — leases refused, in-flight jobs re-leased — with timed
-// probation re-admission. internal/chaos supplies the matching offense:
-// a deterministic fault-injecting transport for exercising all of this.
+// Each job is leased to one worker at a time and the first valid result
+// for it wins. Every result is integrity-hash checked at decode, so a
+// payload damaged on the wire is refused and its job re-leased.
 //
 // Transport hardening is opt-in: Options.TLSCert/TLSKey serve the
 // endpoints over TLS (self-signed works — point workers at the cert with
@@ -66,20 +58,21 @@ import (
 // POST /release (graceful drain), quorum re-execution (multi-worker
 // leases per job), health/quarantine fields in Status; 4 = fleet labels
 // in the join handshake and Status, coordinator-mediated drain (POST
-// /drain, drain flags on lease and heartbeat replies).
-const ProtocolVersion = 4
+// /drain, drain flags on lease and heartbeat replies); 5 = removed quorum
+// leases, the health/quarantine and autoscaling fields of Status, fleet
+// labels, POST /drain and the drain flags on lease and heartbeat replies:
+// one worker per lease, first result wins.
+const ProtocolVersion = 5
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a bundle before its un-acked jobs are reassigned; workers
 // heartbeat at a third of the TTL, so one lost heartbeat does not forfeit
 // a lease. BundleTarget is how much estimated work one lease round-trip
-// should amortize over; ScaleHorizon is the drain time the WantWorkers
-// hint aims for.
+// should amortize over.
 const (
 	DefaultLeaseTTL     = 30 * time.Second
 	DefaultLongPoll     = 10 * time.Second
 	DefaultBundleTarget = 3 * time.Second
-	DefaultScaleHorizon = time.Minute
 )
 
 // maxBundleJobs caps one lease's bundle regardless of how short the jobs
@@ -96,11 +89,6 @@ type joinRequest struct {
 	Version int    `json:"version"`
 	Worker  string `json:"worker"`
 	Slots   int    `json:"slots"`
-	// Fleet names the supervisor managing this worker (ilsim-fleetd's
-	// -fleet label); empty for hand-launched workers. Recorded in
-	// WorkerStatus so operators — and scale-down victim selection — can
-	// tell supervised capacity from manual capacity.
-	Fleet string `json:"fleet,omitempty"`
 }
 
 // joinReply fixes the campaign identity for the session. Probe is one job
@@ -136,14 +124,12 @@ type leasedJob struct {
 }
 
 // leaseReply grants a bundle of jobs, asks the worker to poll again
-// (Wait), ends the session (Done — the campaign is complete), or tells
-// the worker to drain (Drain — a supervisor asked the coordinator to
-// retire it; finish in-flight work, release the rest, exit cleanly).
+// (Wait — also the answer to a worker that has said goodbye), or ends the
+// session (Done — the campaign is complete).
 type leaseReply struct {
-	Done  bool        `json:"done,omitempty"`
-	Wait  bool        `json:"wait,omitempty"`
-	Drain bool        `json:"drain,omitempty"`
-	Jobs  []leasedJob `json:"jobs,omitempty"`
+	Done bool        `json:"done,omitempty"`
+	Wait bool        `json:"wait,omitempty"`
+	Jobs []leasedJob `json:"jobs,omitempty"`
 }
 
 // resultRequest streams one finished job back. Bundles report job by job,
@@ -161,25 +147,9 @@ type heartbeatRequest struct {
 	Held   []int  `json:"held"`
 }
 
-// heartbeatReply piggybacks the drain flag on the renewal: a worker deep
-// in a long bundle learns it is being retired within one heartbeat period
-// instead of at its next lease poll.
-type heartbeatReply struct {
-	Drain bool `json:"drain,omitempty"`
-}
-
-// drainRequest asks the coordinator to retire one worker (POST /drain):
-// the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, hands unstarted leases back via /release, and
-// exits its run loop — the loss-free scale-down contract ilsim-fleetd's
-// supervisor relies on.
-type drainRequest struct {
-	Worker string `json:"worker"`
-}
-
 // releaseRequest hands leases back without results — a draining worker's
 // goodbye, so the coordinator re-leases immediately instead of waiting
-// out the TTL.
+// out the TTL. An empty Indexes list is the goodbye alone.
 type releaseRequest struct {
 	Worker  string `json:"worker"`
 	SetFP   string `json:"setFp"`
@@ -210,27 +180,13 @@ type WorkerStatus struct {
 	// CN is the CommonName of the worker's client certificate when the
 	// coordinator runs mutual TLS; empty otherwise.
 	CN string `json:"cn,omitempty"`
-	// Fleet is the supervisor label the worker announced at join; empty
-	// for hand-launched (manual) workers.
-	Fleet string `json:"fleet,omitempty"`
-	// Draining reports that the worker has been asked to retire — by a
-	// supervisor via POST /drain, or by handing leases back itself — and
-	// will take no further leases.
+	// Draining reports that the worker has said goodbye (handed leases
+	// back via POST /release) and will take no further leases.
 	Draining bool `json:"draining,omitempty"`
-	// Score is the worker's current health-ledger score (decayed);
-	// Quarantined reports whether it is currently refused leases.
-	Score       float64 `json:"score,omitempty"`
-	Quarantined bool    `json:"quarantined,omitempty"`
-	// Dissents counts quorum votes this worker lost, Integrity its
-	// integrity-hash failures, Expiries its expired leases.
-	Dissents  int `json:"dissents,omitempty"`
-	Integrity int `json:"integrity,omitempty"`
-	Expiries  int `json:"expiries,omitempty"`
 }
 
-// Status is the GET /status snapshot: campaign counters plus the
-// autoscaling signals an operator (or supervisor script) needs to size
-// the fleet. ilsim-sweep -watch prints it one-shot; ilsim-workerd
+// Status is the GET /status snapshot: campaign counters, queue depth and
+// one row per worker. ilsim-sweep -watch prints it; ilsim-workerd
 // -status-poll logs Summary lines periodically.
 type Status struct {
 	SetFP   string `json:"setFp"`
@@ -243,8 +199,8 @@ type Status struct {
 	// Leased is the lease backlog: jobs currently held by workers.
 	Leased int `json:"leased"`
 	// Workers counts every worker ever seen; Slots sums the declared
-	// concurrency of workers seen within the last lease TTL (the live
-	// fleet's capacity).
+	// concurrency of workers seen within the last lease TTL that have not
+	// said goodbye (the live capacity).
 	Workers int `json:"workers"`
 	Slots   int `json:"slots"`
 	// Leases counts bundle grants so far and MaxBundle the largest bundle
@@ -254,22 +210,12 @@ type Status struct {
 	// ETAMS estimates the time to drain the remaining jobs at the
 	// campaign's observed throughput (0 until a rate is established).
 	ETAMS int64 `json:"etaMs"`
-	// WantWorkers is the autoscaling hint: the total worker-slot count
-	// that would drain the remaining jobs within the coordinator's scale
-	// horizon (Options.ScaleHorizon). 0 means no hint — the campaign is
-	// finished, or no per-job runtime has been observed yet.
-	WantWorkers int  `json:"wantWorkers"`
-	Finished    bool `json:"finished"`
-	// Replicas is the campaign's quorum width (1 = no replication);
-	// Quarantined counts workers currently refused leases.
-	Replicas    int `json:"replicas,omitempty"`
-	Quarantined int `json:"quarantined,omitempty"`
-	// Draining counts workers currently being retired (drain requested,
-	// not yet gone); their slots are excluded from Slots.
+	// Finished reports that every job is terminal (or the campaign was
+	// aborted).
+	Finished bool `json:"finished"`
+	// Draining counts workers that have said goodbye; their slots are
+	// excluded from Slots.
 	Draining int `json:"draining,omitempty"`
-	// RejectedCNs counts requests refused by the certificate ACL
-	// (Options.AllowedCNs) since the coordinator started.
-	RejectedCNs int64 `json:"rejectedCNs,omitempty"`
 	// PerWorker is one row per worker ever seen, in coordinator map order
 	// (sort before displaying).
 	PerWorker []WorkerStatus `json:"perWorker,omitempty"`
@@ -283,20 +229,8 @@ func (s Status) Summary() string {
 	if s.ETAMS > 0 {
 		line += fmt.Sprintf(", eta %s", (time.Duration(s.ETAMS) * time.Millisecond).Round(100*time.Millisecond))
 	}
-	if s.WantWorkers > 0 {
-		line += fmt.Sprintf(", want %d slots", s.WantWorkers)
-	}
-	if s.Replicas > 1 {
-		line += fmt.Sprintf(", %d replicas", s.Replicas)
-	}
-	if s.Quarantined > 0 {
-		line += fmt.Sprintf(", %d quarantined", s.Quarantined)
-	}
 	if s.Draining > 0 {
 		line += fmt.Sprintf(", %d draining", s.Draining)
-	}
-	if s.RejectedCNs > 0 {
-		line += fmt.Sprintf(", %d CN-rejected", s.RejectedCNs)
 	}
 	if s.Finished {
 		line += ", finished"
@@ -320,12 +254,8 @@ func (s Status) Table() string {
 		if ws.CN != "" && ws.CN != ws.Name {
 			name += " (" + ws.CN + ")"
 		}
-		fleet := ws.Fleet
-		if fleet == "" {
-			fleet = "manual"
-		}
-		fmt.Fprintf(&b, "  %-24s %-10s slots %-3d bundle %-3d done %-4d ewma %-8s %.2f jobs/s",
-			name, fleet, ws.Slots, ws.Held, ws.Done,
+		fmt.Fprintf(&b, "  %-24s slots %-3d bundle %-3d done %-4d ewma %-8s %.2f jobs/s",
+			name, ws.Slots, ws.Held, ws.Done,
 			(time.Duration(ws.EWMAMS) * time.Millisecond).Round(time.Millisecond), ws.Throughput)
 		if ws.Job != "" {
 			fmt.Fprintf(&b, "  on %s", ws.Job)
@@ -335,12 +265,6 @@ func (s Status) Table() string {
 		}
 		if ws.Draining {
 			b.WriteString("  DRAINING")
-		}
-		if ws.Quarantined {
-			fmt.Fprintf(&b, "  QUARANTINED (score %.1f, %d dissents, %d integrity, %d expiries)",
-				ws.Score, ws.Dissents, ws.Integrity, ws.Expiries)
-		} else if ws.Score > 0 {
-			fmt.Fprintf(&b, "  score %.1f", ws.Score)
 		}
 		b.WriteByte('\n')
 	}

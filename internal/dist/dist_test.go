@@ -187,7 +187,7 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		cp.mu.Lock()
-		_, byDoomed := cp.leases[0]["doomed"]
+		byDoomed := cp.leases[0].worker == "doomed"
 		cp.mu.Unlock()
 		if byDoomed {
 			break
@@ -368,7 +368,7 @@ func TestVerifyProbeStaleBinary(t *testing.T) {
 	}
 	rep.ProbeFP = "deadbeefdeadbeefdeadbeef"
 	err := verifyProbe(rep)
-	if err == nil || !isFatal(err) {
+	if err == nil || !IsFatal(err) {
 		t.Fatalf("stale probe accepted or retryable: %v", err)
 	}
 }

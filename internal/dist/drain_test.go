@@ -2,12 +2,24 @@ package dist
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"ilsim/internal/exp"
 )
+
+// slowEngine builds an engine whose jobs each sleep d before running.
+func slowEngine(jobs []exp.Job, d time.Duration) *exp.Engine {
+	eng := exp.New(0)
+	eng.Faults = exp.NewFaultPlan()
+	for _, job := range jobs {
+		eng.Faults.Set(job.String(), exp.Fault{Delay: d})
+	}
+	return eng
+}
 
 // TestGracefulDrain drains a worker mid-bundle: the job executing when
 // Drain fires must finish and report, the unstarted remainder must come
@@ -58,11 +70,10 @@ func TestGracefulDrain(t *testing.T) {
 	cp := waitCampaign(t, c)
 	cp.mu.Lock()
 	released := 0
-	for idx, holders := range cp.leases {
-		if _, held := holders["drainer"]; held {
+	for idx, l := range cp.leases {
+		if l.worker == "drainer" {
 			t.Errorf("job %d still leased to the drained worker", idx)
 		}
-		_ = idx
 	}
 	doneSoFar := cp.done
 	maxBundle := cp.maxBundle
@@ -140,20 +151,34 @@ func TestDrainAnswersPendingLeasePoll(t *testing.T) {
 	}
 	waitFor("the holder to lease every job", func() bool {
 		for idx := range jobs {
-			if _, held := cp.leases[idx]["holder"]; !held {
+			if cp.leases[idx].worker != "holder" {
 				return false
 			}
 		}
 		return true
 	})
 
-	w := &Worker{Coordinator: c.Addr(), Name: "drainer", Slots: 1, LongPoll: 30 * time.Second}
+	// The drainer reaches the same coordinator through a second server
+	// that reports when its lease poll is in the coordinator's hands.
+	polling := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/lease" {
+			select {
+			case polling <- struct{}{}:
+			default:
+			}
+		}
+		c.Handler().ServeHTTP(rw, r)
+	}))
+	defer ts.Close()
+	w := &Worker{Coordinator: ts.URL, Name: "drainer", Slots: 1, LongPoll: 30 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
-	waitFor("the drainer's lease poll", func() bool {
-		ws := cp.workers["drainer"]
-		return ws != nil && !ws.seen.IsZero()
-	})
+	select {
+	case <-polling:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drainer never polled for a lease")
+	}
 	w.Drain()
 	select {
 	case err := <-done:
@@ -171,116 +196,8 @@ func TestDrainAnswersPendingLeasePoll(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMediatedDrain exercises the fleet scale-down contract
-// end to end: POST /drain marks a worker on the coordinator, the drain
-// flag reaches the worker over its heartbeat while it is deep inside a
-// bundle, the worker finishes its in-flight job, releases the unstarted
-// remainder and exits its run loop — and a relief worker completes the
-// campaign byte-identical to a local run, proving the drain lost
-// nothing. The draining worker's fleet label and Draining flag are
-// visible in the status feed throughout.
-func TestCoordinatorMediatedDrain(t *testing.T) {
-	jobs := testJobs(t, 4) // 8 jobs: each point pairs into HSAIL + GCN3
-	want := localFingerprints(t, jobs)
-
-	ctx := context.Background()
-	w1 := &Worker{Name: "auto-1", Fleet: "testfleet", Slots: 1,
-		Engine: slowEngine(jobs, 60*time.Millisecond), Logf: t.Logf}
-	var once sync.Once
-	drained := make(chan struct{})
-	c, out := startCampaign(t, ctx, Options{
-		LongPoll: 100 * time.Millisecond,
-		// A short lease TTL makes heartbeats (TTL/3 = 100ms) frequent
-		// enough to deliver the drain mid-bundle; the slow engine keeps
-		// the bundle running long past several heartbeat periods.
-		LeaseTTL:     300 * time.Millisecond,
-		BundleTarget: time.Hour, // bundle everything the EWMA allows
-		Logf:         t.Logf,
-		OnProgress: func(p exp.Progress) {
-			// Second completion = the worker is inside its second (bundled)
-			// lease: drain it through the coordinator, not locally.
-			if p.Done >= 2 {
-				once.Do(func() { close(drained) })
-			}
-		},
-	}, jobs)
-	w1.Coordinator = c.Addr()
-
-	w1Done := make(chan error, 1)
-	go func() { w1Done <- w1.Run(ctx) }()
-	<-drained
-	if err := RequestDrain(ctx, c.Addr(), "auto-1", ClientOptions{}); err != nil {
-		t.Fatalf("RequestDrain: %v", err)
-	}
-
-	// The drain flag must reach the worker (lease poll or heartbeat) and
-	// end its Run loop without an error.
-	select {
-	case err := <-w1Done:
-		if err != nil {
-			t.Fatalf("drained worker: %v", err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("worker never drained after POST /drain")
-	}
-	if !w1.Draining() {
-		t.Fatal("worker does not report Draining after a coordinator-mediated drain")
-	}
-
-	// Mid-campaign: some jobs done, some handed back for the relief.
-	cp := waitCampaign(t, c)
-	cp.mu.Lock()
-	doneSoFar := cp.done
-	cp.mu.Unlock()
-	if doneSoFar == 0 || doneSoFar == len(jobs) {
-		t.Fatalf("drain landed after %d of %d jobs; want a mid-campaign drain", doneSoFar, len(jobs))
-	}
-
-	// The status feed shows the retired worker's fleet label and drain
-	// state, and excludes its slots from the live capacity gauge.
-	st, err := FetchStatus(ctx, c.Addr(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Draining != 1 {
-		t.Fatalf("status.Draining = %d, want 1", st.Draining)
-	}
-	found := false
-	for _, ws := range st.PerWorker {
-		if ws.Name == "auto-1" {
-			found = true
-			if ws.Fleet != "testfleet" || !ws.Draining {
-				t.Fatalf("worker row: fleet %q draining %v, want testfleet/true", ws.Fleet, ws.Draining)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("auto-1 missing from status")
-	}
-	if tbl := st.Table(); !contains(tbl, "testfleet") || !contains(tbl, "DRAINING") {
-		t.Fatalf("status table missing fleet/drain columns:\n%s", tbl)
-	}
-
-	// A relief worker finishes the campaign; fingerprints match a local
-	// run exactly — the drain lost nothing.
-	w2 := &Worker{Coordinator: c.Addr(), Name: "relief", Slots: 2}
-	w2Done := make(chan error, 1)
-	go func() { w2Done <- w2.Run(ctx) }()
-	oc := <-out
-	if oc.err != nil {
-		t.Fatal(oc.err)
-	}
-	checkFingerprints(t, oc.results, want)
-	if oc.metrics.Failed != 0 {
-		t.Fatalf("metrics after drain: %+v", oc.metrics)
-	}
-	if err := <-w2Done; err != nil {
-		t.Fatalf("relief worker: %v", err)
-	}
-}
-
 // TestDrainBeforeRun: a worker drained before it starts leases nothing,
-// reports nothing, and returns nil immediately.
+// reports nothing, says goodbye, and returns nil.
 func TestDrainBeforeRun(t *testing.T) {
 	jobs := testJobs(t, 1)
 	ctx := context.Background()
@@ -290,6 +207,15 @@ func TestDrainBeforeRun(t *testing.T) {
 	w.Drain()
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("pre-drained worker: %v", err)
+	}
+	// It still said goodbye before Run returned, so the coordinator does
+	// not count it as live capacity.
+	cp := waitCampaign(t, c)
+	cp.mu.Lock()
+	told := cp.drains["stillborn"]
+	cp.mu.Unlock()
+	if !told {
+		t.Fatal("pre-drained worker returned without saying goodbye")
 	}
 
 	// The job is untouched; a live worker completes the campaign.

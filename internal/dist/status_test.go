@@ -2,43 +2,39 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStatusTableGolden pins the exact rendering of the operator board:
 // summary counters, the lease line, and one row per worker — sorted by
-// name, fleet column ("manual" for hand-launched workers), CN suffix,
-// per-worker bundle size with the active job label ("+N queued" for
-// multi-job bundles), DRAINING and QUARANTINED markers. A conscious
+// name, CN suffix, per-worker bundle size with the active job label ("+N
+// queued" for multi-job bundles) and the DRAINING marker. A conscious
 // golden test: the table is an interface to operators and to the -watch
 // board, and accidental reformatting should fail loudly.
 func TestStatusTableGolden(t *testing.T) {
 	s := Status{
 		SetFP: "abc", Total: 16, Done: 6, Failed: 1, Resumed: 2,
 		Pending: 5, Leased: 4, Workers: 3, Slots: 4,
-		Leases: 7, MaxBundle: 5, ETAMS: 12_300, WantWorkers: 6,
-		Quarantined: 1, Draining: 1, RejectedCNs: 2,
+		Leases: 7, MaxBundle: 5, ETAMS: 12_300, Draining: 1,
 		PerWorker: []WorkerStatus{
 			{Name: "manual-1", Slots: 2, Held: 3, Done: 4, EWMAMS: 250, Throughput: 4,
 				Job: "banks=16 MD/GCN3@2"},
-			{Name: "auto-2", Slots: 1, Held: 0, Done: 0, Fleet: "gcn3", Draining: true},
-			{Name: "auto-1", Slots: 1, Held: 1, Done: 2, EWMAMS: 500, Throughput: 2,
-				Fleet: "gcn3", CN: "lab-client", Quarantined: true, Score: 6.5,
-				Dissents: 1, Integrity: 2, Expiries: 3,
-				Job: "banks=8 MD/HSAIL@2"},
+			{Name: "lab-2", Slots: 1, Held: 0, Done: 0, Draining: true},
+			{Name: "lab-1", Slots: 1, Held: 1, Done: 2, EWMAMS: 500, Throughput: 2,
+				CN: "lab-client", Job: "banks=8 MD/HSAIL@2"},
 		},
 	}
 	want := strings.Join([]string{
-		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, want 6 slots, 1 quarantined, 1 draining, 2 CN-rejected",
+		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, 1 draining",
 		"dist: 7 leases granted, largest bundle 5 jobs",
-		"  auto-1 (lab-client)      gcn3       slots 1   bundle 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
-		"  auto-2                   gcn3       slots 1   bundle 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
-		"  manual-1                 manual     slots 2   bundle 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2 (+2 queued)",
+		"  lab-1 (lab-client)       slots 1   bundle 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2",
+		"  lab-2                    slots 1   bundle 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
+		"  manual-1                 slots 2   bundle 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2 (+2 queued)",
 		"",
 	}, "\n")
 	if got := s.Table(); got != want {
@@ -46,9 +42,11 @@ func TestStatusTableGolden(t *testing.T) {
 	}
 }
 
-// TestStatusErrorKinds classifies every failure class FetchStatus can
-// hit: transport errors are Unreachable, 503 is NotReady, 401/403 are
-// Denied, other refusals and undecodable bodies are Protocol.
+// TestStatusErrorKinds sorts every failure FetchStatus can hit into the
+// two kinds its callers act on: refused credentials (401, 403) are
+// fatal — retrying cannot fix them — while 503 before the campaign
+// installs, server errors, undecodable bodies and a dead endpoint are
+// retryable.
 func TestStatusErrorKinds(t *testing.T) {
 	ctx := context.Background()
 	serve := func(code int, body string) *httptest.Server {
@@ -58,16 +56,16 @@ func TestStatusErrorKinds(t *testing.T) {
 		}))
 	}
 	cases := []struct {
-		name string
-		code int
-		body string
-		want StatusErrKind
+		name  string
+		code  int
+		body  string
+		fatal bool
 	}{
-		{"not-ready", http.StatusServiceUnavailable, "no campaign", StatusNotReady},
-		{"unauthorized", http.StatusUnauthorized, "bad token", StatusDenied},
-		{"forbidden", http.StatusForbidden, "bad CN", StatusDenied},
-		{"server-error", http.StatusInternalServerError, "boom", StatusProtocol},
-		{"bad-body", http.StatusOK, "this is not json", StatusProtocol},
+		{"not-ready", http.StatusServiceUnavailable, "no campaign", false},
+		{"unauthorized", http.StatusUnauthorized, "bad token", true},
+		{"forbidden", http.StatusForbidden, "bad certificate", true},
+		{"server-error", http.StatusInternalServerError, "boom", false},
+		{"bad-body", http.StatusOK, "this is not json", false},
 	}
 	for _, tc := range cases {
 		ts := serve(tc.code, tc.body)
@@ -76,105 +74,71 @@ func TestStatusErrorKinds(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: FetchStatus succeeded", tc.name)
 		}
-		if kind, ok := StatusKindOf(err); !ok || kind != tc.want {
-			t.Errorf("%s: kind = %v (typed %v), want %v", tc.name, kind, ok, tc.want)
+		if IsFatal(err) != tc.fatal {
+			t.Errorf("%s: IsFatal(%v) = %v, want %v", tc.name, err, !tc.fatal, tc.fatal)
 		}
 	}
 
-	// A dead endpoint is Unreachable.
+	// A dead endpoint is retryable.
 	ts := serve(http.StatusOK, "{}")
 	addr := ts.URL
 	ts.Close()
-	_, err := FetchStatus(ctx, addr, ClientOptions{})
-	if kind, ok := StatusKindOf(err); !ok || kind != StatusUnreachable {
-		t.Errorf("closed server: kind = %v (typed %v), want %v", kind, ok, StatusUnreachable)
+	if _, err := FetchStatus(ctx, addr, ClientOptions{}); err == nil || IsFatal(err) {
+		t.Errorf("closed server: err = %v, want a retryable error", err)
 	}
 
-	// Success decodes; non-StatusError values classify as Protocol and
-	// report untyped.
+	// Success decodes.
 	ts2 := serve(http.StatusOK, `{"total": 3}`)
 	defer ts2.Close()
 	st, err := FetchStatus(ctx, ts2.URL, ClientOptions{})
 	if err != nil || st.Total != 3 {
 		t.Fatalf("healthy fetch: %+v, %v", st, err)
 	}
-	if kind, ok := StatusKindOf(errors.New("plain")); ok || kind != StatusProtocol {
-		t.Errorf("plain error: kind = %v (typed %v)", kind, ok)
-	}
 }
 
-// TestStatusTracker pins the shared retry/give-up policy: startup noise
-// before first contact is endless, Denied aborts immediately even before
-// first contact, and after first contact MaxMisses consecutive failures
-// give up while any success resets the budget.
-func TestStatusTracker(t *testing.T) {
-	unreachable := &StatusError{Addr: "x", Kind: StatusUnreachable, Err: errors.New("refused")}
-	notReady := &StatusError{Addr: "x", Kind: StatusNotReady, Err: errors.New("503")}
-	denied := &StatusError{Addr: "x", Kind: StatusDenied, Err: errors.New("401")}
+// TestStatusAutoscaling checks the capacity signals an external scaler
+// sizes a worker pool from: Slots counts only workers heard from within
+// the lease TTL that have not said goodbye, Pending plus Leased is the
+// backlog, and ETAMS projects the remaining jobs at the observed rate —
+// zero before any job has finished.
+func TestStatusAutoscaling(t *testing.T) {
+	jobs := testJobs(t, 4) // 4 sweep points, 8 jobs
+	cp := newCampaign(jobs, Options{
+		LeaseTTL:     time.Second,
+		BundleTarget: DefaultBundleTarget,
+		Logf:         func(string, ...any) {},
+	})
+	now := cp.start.Add(10 * time.Second)
 
-	// Pre-contact noise never gives up.
-	var tr StatusTracker
-	for i := 0; i < 50; i++ {
-		if err := tr.Observe(notReady); err != nil {
-			t.Fatalf("pre-contact 503 #%d became terminal: %v", i, err)
-		}
-		if err := tr.Observe(unreachable); err != nil {
-			t.Fatalf("pre-contact refusal #%d became terminal: %v", i, err)
-		}
+	cp.mu.Lock()
+	cp.workerLocked("live").seen = now
+	cp.workerLocked("live").slots = 4
+	cp.workerLocked("silent").seen = now.Add(-2 * time.Second) // past the TTL
+	cp.workerLocked("silent").slots = 2
+	cp.workerLocked("leaving").seen = now
+	cp.workerLocked("leaving").slots = 3
+	cp.drains["leaving"] = true
+	idle := cp.statusLocked(now)
+	for i := 0; i < 4; i++ {
+		cp.state[i] = stateDone
 	}
-	if tr.Connected() {
-		t.Fatal("tracker claims contact before any success")
-	}
+	cp.done = 4
+	cp.takeLocked("live", now, 1)
+	busy := cp.statusLocked(now)
+	cp.mu.Unlock()
 
-	// Denied is fatal immediately, contact or not.
-	var deny StatusTracker
-	if err := deny.Observe(denied); err == nil {
-		t.Fatal("Denied before contact was tolerated")
+	if idle.Slots != 4 || idle.Workers != 3 || idle.Draining != 1 {
+		t.Fatalf("capacity: %d slots over %d workers (%d draining), want 4 over 3 (1 draining)",
+			idle.Slots, idle.Workers, idle.Draining)
 	}
-
-	// After contact: misses accumulate, a success resets, the budget
-	// exhausts.
-	tr2 := StatusTracker{MaxMisses: 3}
-	if err := tr2.Observe(nil); err != nil || !tr2.Connected() {
-		t.Fatalf("first success: %v, connected %v", err, tr2.Connected())
+	if idle.Pending != 8 || idle.Leased != 0 || idle.ETAMS != 0 {
+		t.Fatalf("before progress: pending %d, leased %d, eta %dms; want 8, 0, 0", idle.Pending, idle.Leased, idle.ETAMS)
 	}
-	for i := 0; i < 2; i++ {
-		if err := tr2.Observe(unreachable); err != nil {
-			t.Fatalf("miss %d within budget became terminal: %v", i+1, err)
-		}
+	if busy.Leased == 0 || busy.Pending+busy.Leased != 4 {
+		t.Fatalf("backlog: pending %d + leased %d, want 4 with a lease out", busy.Pending, busy.Leased)
 	}
-	if err := tr2.Observe(nil); err != nil {
-		t.Fatalf("success after misses: %v", err)
-	}
-	var terminal error
-	for i := 0; i < 3; i++ {
-		terminal = tr2.Observe(unreachable)
-	}
-	if terminal == nil {
-		t.Fatal("tracker never gave up after MaxMisses consecutive failures")
-	}
-	if !strings.Contains(terminal.Error(), "coordinator gone") {
-		t.Errorf("terminal error lacks the give-up wording: %v", terminal)
-	}
-	if !errors.Is(terminal, unreachable.Err) && !strings.Contains(terminal.Error(), "refused") {
-		t.Errorf("terminal error dropped the cause: %v", terminal)
-	}
-}
-
-// TestRequestDrainValidation covers the endpoint's refusals: an empty
-// worker name is a 400, and before any campaign installs the drain gets
-// the same 503 every other endpoint gives.
-func TestRequestDrainValidation(t *testing.T) {
-	ctx := context.Background()
-	c := NewCoordinator(Options{Addr: "127.0.0.1:0"})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := RequestDrain(ctx, c.Addr(), "", ClientOptions{}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Fatalf("empty-name drain: %v", err)
-	}
-	if err := RequestDrain(ctx, c.Addr(), "ghost", ClientOptions{}); err == nil || !strings.Contains(err.Error(), "503") {
-		t.Fatalf("pre-campaign drain: %v", err)
+	// 4 jobs in 10s is 0.4 jobs/s, so the other 4 need 10s more.
+	if busy.ETAMS != 10_000 {
+		t.Fatalf("ETA %dms, want 10000", busy.ETAMS)
 	}
 }

@@ -34,10 +34,6 @@ type Worker struct {
 	// Name identifies this worker in leases and logs; defaults to
 	// hostname-pid.
 	Name string
-	// Fleet names the supervisor managing this worker (empty for
-	// hand-launched workers); announced at join and shown in the
-	// coordinator's status table.
-	Fleet string
 	// Slots is the number of bundles leased and executed concurrently
 	// (default 1).
 	Slots int
@@ -134,7 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		// Names must be unique per coordinator — leases, heartbeats and the
 		// completion handshake are all keyed by them — so the default gets a
 		// process-wide sequence number in case one process runs several
-		// workers (tests, embedded fleets).
+		// workers, as tests do.
 		w.Name = fmt.Sprintf("%s-%d-w%d", host, os.Getpid(), atomic.AddUint64(&workerSeq, 1))
 	}
 	if w.Slots <= 0 {
@@ -173,12 +169,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	// until the in-flight work is reported. Canceling a poll the
 	// coordinator has already answered with a bundle would strand those
 	// leases until their TTL, so the worker first says goodbye: the
-	// coordinator then answers pending polls with the drain flag, and a
+	// coordinator then answers pending polls without a bundle, and a
 	// bundle already granted still arrives and runBundle hands it back.
 	// leaseCtx cuts the polls short only when the goodbye fails.
 	leaseCtx, leaseCancel := context.WithCancel(ctx)
 	defer leaseCancel()
+	saidGoodbye := make(chan struct{})
 	go func() {
+		defer close(saidGoodbye)
 		select {
 		case <-w.drainChan():
 			if !w.goodbye(ctx) {
@@ -199,6 +197,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			cancel() // one slot failing fatally stops the rest
 		}
 	}
+	if w.Draining() {
+		// Slots drained before their first poll exit without waiting for
+		// the goodbye; returning now would cancel it, and the coordinator
+		// would keep counting this worker as live capacity.
+		<-saidGoodbye
+	}
 	return first
 }
 
@@ -210,7 +214,7 @@ func (w *Worker) join(ctx context.Context) error {
 	backoff := 250 * time.Millisecond
 	for {
 		var rep joinReply
-		err := w.post(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots, Fleet: w.Fleet}, &rep)
+		err := w.post(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots}, &rep)
 		switch {
 		case err == nil:
 			if err := verifyProbe(rep); err != nil {
@@ -222,7 +226,7 @@ func (w *Worker) join(ctx context.Context) error {
 				w.leaseTTL = DefaultLeaseTTL
 			}
 			return nil
-		case isFatal(err):
+		case IsFatal(err):
 			return err
 		case time.Now().After(deadline):
 			return fmt.Errorf("dist: coordinator %s unreachable for %s: %w", w.base, w.RetryWindow, err)
@@ -271,14 +275,6 @@ func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 			return err
 		}
 		if rep.Done {
-			return nil
-		}
-		if rep.Drain {
-			// The coordinator is retiring this worker on a supervisor's
-			// behalf: same exit as a local Drain call. Other slots learn
-			// via Draining() at their next poll or bundle boundary.
-			w.Logf("dist: %s asked to drain by the coordinator", w.Name)
-			w.Drain()
 			return nil
 		}
 		if rep.Wait || len(rep.Jobs) == 0 {
@@ -423,17 +419,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			}
 			w.heldMu.Unlock()
 			// Best effort: a missed heartbeat only narrows the lease.
-			var rep heartbeatReply
-			if err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, SetFP: w.setFP, Held: held}, &rep); err != nil {
-				continue
-			}
-			if rep.Drain && !w.Draining() {
-				// Retirement reaches a worker deep in a long bundle here,
-				// one heartbeat period after the supervisor asked: the job
-				// executing finishes, the rest of the bundle is released.
-				w.Logf("dist: %s asked to drain by the coordinator (via heartbeat)", w.Name)
-				w.Drain()
-			}
+			w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, SetFP: w.setFP, Held: held}, &struct{}{})
 		}
 	}
 }
@@ -448,11 +434,16 @@ func (e *httpStatusError) Error() string {
 	return fmt.Sprintf("dist: coordinator replied %d: %s", e.code, strings.TrimSpace(e.msg))
 }
 
-// isFatal reports errors retrying cannot fix: handshake conflicts (409),
-// rejected credentials (401), certificate-ACL refusals (403), and
-// malformed requests (400) — the stale-binary, wrong-token, pinned-CN and
-// programming-bug classes.
-func isFatal(err error) bool {
+// statusError reads a non-2xx reply into an httpStatusError.
+func statusError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	return &httpStatusError{code: resp.StatusCode, msg: string(msg)}
+}
+
+// IsFatal reports errors retrying cannot fix: handshake conflicts (409),
+// rejected credentials (401, 403), and malformed requests (400) — the
+// stale-binary, wrong-token and programming-bug classes.
+func IsFatal(err error) bool {
 	if errors.Is(err, errStale) {
 		return true
 	}
@@ -482,8 +473,7 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return &httpStatusError{code: resp.StatusCode, msg: string(msg)}
+		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -497,7 +487,7 @@ func (w *Worker) postRetry(ctx context.Context, path string, body, out any) erro
 	backoff := 250 * time.Millisecond
 	for {
 		err := w.post(ctx, path, body, out)
-		if err == nil || ctx.Err() != nil || isFatal(err) {
+		if err == nil || ctx.Err() != nil || IsFatal(err) {
 			return err
 		}
 		if time.Now().After(deadline) {

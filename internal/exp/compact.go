@@ -10,11 +10,12 @@ import (
 )
 
 // CompactJournal rewrites the journal at path keeping the header and only
-// the latest result entry per job index, dropping vote audit records and
-// superseded entries (a failure later replaced by a success, or repeated
-// failures). Entries are rewritten in job-index order, byte-for-byte as
-// they were appended, so a compacted journal resumes to exactly the same
-// state as the original. The rewrite is crash-safe: a temp file in the
+// the latest result entry per job index, dropping superseded entries (a
+// failure later replaced by a success, or repeated failures) and the
+// quorum vote audit records that journals of earlier releases carry.
+// Entries are rewritten in job-index order, byte-for-byte as they were
+// appended, so a compacted journal resumes to exactly the same state as
+// the original. The rewrite is crash-safe: a temp file in the
 // same directory is fully written and fsynced, then atomically renamed
 // over the original. Returns how many entries were kept and dropped.
 func CompactJournal(path string) (kept, dropped int, err error) {

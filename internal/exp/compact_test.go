@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -11,9 +13,9 @@ import (
 
 // TestCompactJournalRoundTrip is the compaction acceptance test: a journal
 // holding superseded entries (a failure later replaced by a success) and
-// quorum vote records is compacted to one entry per job, and a resume from
-// the compacted file produces results fingerprint-identical to a resume
-// from the original.
+// the quorum vote records older releases wrote is compacted to one entry
+// per job, and a resume from the compacted file produces results
+// fingerprint-identical to a resume from the original.
 func TestCompactJournalRoundTrip(t *testing.T) {
 	jobs := tinyJobs(t, 2) // 4 jobs
 	path := journalPath(t)
@@ -28,13 +30,9 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Job 1's history: two recorded failures, then the success that
-	// supersedes them. Jobs 0, 2, 3 are recorded once. Interleave vote
-	// audit records like a replicated coordinator would.
+	// supersedes them. Jobs 0, 2, 3 are recorded once.
 	fail := Result{Err: errors.New("flaky board")}
 	if err := j.Record(1, fail); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RecordVote(1, "w1", "err:permanent", "err:permanent"); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range clean {
@@ -46,23 +44,56 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 		if err := j.Record(i, Result{Run: r.Run, Wall: 5 * time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.RecordVote(i, "w1", RunSHA(r.Run), RunSHA(r.Run)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// 4 result lines survive; 2 superseded failures + 5 votes drop.
+	// Interleave vote audit records the way a replicated coordinator of an
+	// earlier release wrote them: one after every result line.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	var withVotes strings.Builder
+	withVotes.WriteString(lines[0])
+	for _, line := range lines[1:] {
+		withVotes.WriteString(strings.TrimSuffix(line, "\n") + "\n")
+		var e journalEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		vote := strings.Repeat("ab", 16)
+		if e.Err != "" {
+			vote = "err:permanent"
+		}
+		fmt.Fprintf(&withVotes, `{"type":"vote","index":%d,"job":%q,"worker":"w1","vote":%q,"accepted":%q,"agree":true}`+"\n",
+			e.Index, e.Job, vote, vote)
+	}
+	if err := os.WriteFile(path, []byte(withVotes.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The journal with votes resumes every job before compaction too.
+	jv, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := jv.Resumable(); n != len(jobs) {
+		t.Fatalf("journal with votes resumes %d jobs, want %d", n, len(jobs))
+	}
+	jv.Close()
+
+	// 4 result lines survive; 2 superseded failures + 6 votes drop.
 	kept, droppedN, err := CompactJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != len(jobs) || droppedN != 7 {
-		t.Fatalf("compacted to %d kept / %d dropped, want %d / 7", kept, droppedN, len(jobs))
+	if kept != len(jobs) || droppedN != 8 {
+		t.Fatalf("compacted to %d kept / %d dropped, want %d / 8", kept, droppedN, len(jobs))
 	}
-	raw, err := os.ReadFile(path)
+	raw, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -451,9 +451,6 @@ func (e *Engine) runJob(ctx context.Context, job Job, attempt int) (run *stats.R
 			return nil, fmt.Errorf("output check: %w", err)
 		}
 	}
-	if e.Faults != nil {
-		e.Faults.mutate(job, run)
-	}
 	return run, nil
 }
 

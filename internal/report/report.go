@@ -441,22 +441,6 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("disable bundling — so a lease never strands minutes of work behind one\n")
 	b.WriteString("slow worker. Either way results stream back per job and the output is\n")
 	b.WriteString("bundle-agnostic.\n\n")
-	b.WriteString("On fleets you do not fully control, `-serve ... -replicas K` re-executes\n")
-	b.WriteString("every job on K distinct workers and accepts the majority result (README\n")
-	b.WriteString("\"Untrusted workers & chaos testing\"). That multiplies the campaign's\n")
-	b.WriteString("compute by K, so spend it deliberately: the integrity hash already\n")
-	b.WriteString("catches wire corruption for free, and the join handshake already refuses\n")
-	b.WriteString("drifted binaries, so replication only buys protection against a worker\n")
-	b.WriteString("that *computes* wrong — flaky hardware, aggressive overclocks, machines\n")
-	b.WriteString("you cannot audit. On a trusted cluster keep `-replicas 1` (the default)\n")
-	b.WriteString("and let the health ledger quarantine misbehaving nodes from lease\n")
-	b.WriteString("expiries and integrity failures alone. Reach for `-replicas 3` when the\n")
-	b.WriteString("figures are headed for a paper and the fleet is scavenged or volunteer\n")
-	b.WriteString("hardware — for this suite that turns an overnight regeneration into a\n")
-	b.WriteString("weekend one, so consider replicating only the final verification pass\n")
-	b.WriteString("rather than every exploratory sweep. Even values like 2 detect\n")
-	b.WriteString("disagreement but cannot outvote it (a 1–1 split just re-leases until a\n")
-	b.WriteString("majority exists), so odd K is the economical choice.\n\n")
 	b.WriteString("Parallelism lives at one level: `-j` runs whole jobs concurrently, and\n")
 	b.WriteString("each simulation is one serial loop. A simulated cycle holds a few\n")
 	b.WriteString("microseconds of host work, less than a per-cycle barrier across\n")
@@ -483,7 +467,6 @@ func (r *Results) Markdown(cfg core.Config) string {
 		b.WriteString(AblationTable(rows))
 	}
 	b.WriteString(throughputSection)
-	b.WriteString(autoscalingSection)
 	return b.String()
 }
 
@@ -531,31 +514,6 @@ on two workers and 22.0 / 20.1 s on eight; ArrayBW scale 256 took 4.0 /
 4.4 s serial, 4.5 / 4.1 s with a two-worker drain (a tie) and 5.7 / 5.8 s
 with two workers for ticks and drain. The pool was deleted; each cycle
 now ticks every CU, then drains memory.
-`
-
-// autoscalingSection is an operational note for distributed sweeps: the
-// paper's GCN3/HSAIL runtime asymmetry, seen as fleet sizing.
-const autoscalingSection = `
-### Autoscaling and the two abstractions (operational note)
-
-The paper's central asymmetry shows up operationally in distributed
-sweeps: GCN3 jobs simulate every ABI preamble instruction, the waitcnt
-protocol and real encodings, so a GCN3 leg routinely runs 1.5-3x longer
-than its HSAIL twin at the same sweep point (Figure 12's ratio, seen as
-wall-time). A fleet sized for the HSAIL half of a paired campaign is
-therefore undersized for the tail, where the long GCN3 jobs dominate the
-queue.
-
-The coordinator's ` + "`WantWorkers`" + ` hint already absorbs this — it scales by
-the *observed* per-job EWMA, so the hint rises as the mix shifts toward
-GCN3 — and ` + "`ilsim-fleetd`" + ` turns that into capacity without human
-attention. The practical knobs: a ` + "`-down-cooldown`" + ` comfortably longer
-than one GCN3 job (the default 30s suits scale-2 runs) keeps the fleet
-from shrinking during an HSAIL burst only to regrow for the GCN3 tail,
-and the drain contract makes the late scale-down free — a drained worker
-finishes its in-flight GCN3 job, returns the unstarted remainder, and
-nothing re-runs. Fingerprints stay byte-identical to a local run
-throughout (` + "`TestSupervisorAutoscaleChaos`" + `, CI ` + "`autoscale-smoke`" + `).
 `
 
 func abs(v float64) float64 {
